@@ -20,7 +20,6 @@ from .core import (
     symmetry,
 )
 from .enumeration import (
-    EnumerationTask,
     count_avoiders,
     generate_all,
     list_avoiders,

@@ -155,6 +155,10 @@ def cmd_verify(args) -> int:
     kwargs = {}
     if args.suite in ("table1", "gentree"):
         kwargs = {"n_max": args.nmax or 4, "m_max": args.mmax or 3}
+    elif args.nmax is not None or args.mmax is not None:
+        raise Unsupported(f"--nmax/--mmax do not apply to --suite {args.suite}")
+    if args.report and args.suite != "table1":
+        raise Unsupported("--report applies only to --suite table1")
     results = run_suite(args.suite, **kwargs)
     for res in results:
         if args.records:

@@ -13,7 +13,6 @@ Counts are plain Python ints, hence arbitrary precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .core import MultisetPermutation, PatternSet, contains
@@ -31,50 +30,6 @@ def _check_budget(length: int, budget: int, override: bool) -> None:
             f"length {length} exceeds the budget of {budget}; "
             f"pass override_budget=True to proceed anyway"
         )
-
-
-@dataclass(frozen=True)
-class EnumerationTask:
-    """A self-contained counting or listing request.
-
-    length_budget overrides the module default; runs longer than it still
-    need override_budget=True.
-    """
-
-    alphabet_size: int
-    multiplicity: tuple[int, ...]
-    pattern_set: PatternSet = field(default_factory=lambda: PatternSet(()))
-    mode: str = "count"  # count | list
-    limit: int | None = None
-    length_budget: int | None = None
-    override_budget: bool = False
-
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 0:
-            raise ValueError("alphabet size must be nonnegative")
-        if len(self.multiplicity) != self.alphabet_size:
-            raise ValueError("multiplicity vector must have length n")
-        if any(m < 1 for m in self.multiplicity):
-            raise ValueError("multiplicities must be positive")
-        if self.limit is not None and self.limit < 0:
-            raise ValueError("limit must be nonnegative")
-        if self.mode not in ("count", "list"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @classmethod
-    def regular(cls, n: int, m: int, patterns: PatternSet, **kw) -> "EnumerationTask":
-        return cls(n, (m,) * n, patterns, **kw)
-
-    def run(self):
-        if self.mode == "count":
-            budget = self.length_budget if self.length_budget is not None \
-                else COUNT_LENGTH_BUDGET
-            return _count(self.alphabet_size, self.multiplicity, self.pattern_set,
-                          self.override_budget, budget)
-        budget = self.length_budget if self.length_budget is not None \
-            else LIST_LENGTH_BUDGET
-        return _list(self.alphabet_size, self.multiplicity, self.pattern_set,
-                     self.limit, self.override_budget, budget)
 
 
 # -- incremental avoidance state ----------------------------------------------
@@ -227,8 +182,7 @@ def _dfs(n: int, capacity: Sequence[int], total: int, patterns: PatternSet,
     return count
 
 
-def _count(n: int, mu: tuple[int, ...], patterns: PatternSet, override: bool,
-           budget: int = COUNT_LENGTH_BUDGET) -> int:
+def _count(n: int, mu: tuple[int, ...], patterns: PatternSet, override: bool) -> int:
     total = sum(mu)
     if n == 0:
         return 1  # the empty permutation avoids every (nonempty) pattern
@@ -238,18 +192,17 @@ def _count(n: int, mu: tuple[int, ...], patterns: PatternSet, override: bool,
         for m in mu:
             out //= math.factorial(m)
         return out
-    _check_budget(total, budget, override)
+    _check_budget(total, COUNT_LENGTH_BUDGET, override)
     capacity = (0,) + mu
     return _dfs(n, capacity, total, patterns, None)
 
 
 def _list(n: int, mu: tuple[int, ...], patterns: PatternSet,
-          limit: int | None, override: bool,
-          budget: int = LIST_LENGTH_BUDGET) -> list[MultisetPermutation]:
+          limit: int | None, override: bool) -> list[MultisetPermutation]:
     total = sum(mu)
     if n == 0:
         return [MultisetPermutation((), 0, ())][: limit if limit is not None else 1]
-    _check_budget(total, budget, override)
+    _check_budget(total, LIST_LENGTH_BUDGET, override)
     capacity = (0,) + mu
     out: list[MultisetPermutation] = []
 

@@ -59,7 +59,3 @@ class InvalidLabelSequence(MsetPermError):
 
 class NotInDomain(MsetPermError):
     """Bijection input does not avoid the defining pattern pair."""
-
-
-class CacheCorrupt(MsetPermError):
-    """Cache file contents could not be trusted (reported, never fatal)."""

@@ -26,7 +26,7 @@ from .enumeration import (
     count_avoiders,
 )
 from .errors import OutOfDomain, Unsupported
-from .formulas import closed_count, stirling_count
+from .formulas import closed_count, lookup, stirling_count
 
 _PATTERN_212 = Pattern((2, 1, 2))
 _PATTERN_12 = Pattern((1, 2))
@@ -53,10 +53,13 @@ def _best_count(patterns: PatternSet, n: int, m: int, override_budget: bool) -> 
     if len(patterns) == 1 and patterns.patterns[0] == _PATTERN_212:
         return stirling_count(n, m)
     if len(patterns) == 2:
-        try:
-            return closed_count(tuple(patterns), n, m)
-        except (Unsupported, OutOfDomain):
-            pass
+        entry = lookup(tuple(patterns))
+        # quoted rows that are not proved here can disagree with the oracle
+        if m == 1 or (entry is not None and entry.trust == "proved-here"):
+            try:
+                return closed_count(tuple(patterns), n, m)
+            except (Unsupported, OutOfDomain):
+                pass
     return count_avoiders(n, m, patterns, override_budget=override_budget)
 
 
@@ -64,8 +67,9 @@ def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]
                  *, override_budget: bool = False) -> list[GrowthRow]:
     """Exact counts and growth ratios over a grid of (n, m) cells.
 
-    Counts come from a catalogued formula when one applies, otherwise from
-    the enumeration oracle (subject to its length budget).
+    Counts come from a proved formula when one applies (any catalogued
+    formula at m = 1), otherwise from the enumeration oracle (subject to its
+    length budget).
     """
     if not isinstance(patterns, PatternSet):
         patterns = PatternSet.of(*patterns)
@@ -154,7 +158,7 @@ def word_counts_by_length(n: int, max_length: int, patterns: PatternSet | Sequen
 def word_counterexample_probe(length: int, n: int) -> int:
     """Number of ascent-free (12-avoiding) words of the given length over [n].
 
-    Counted by direct enumeration; equals C(n + length - 1, length), which
+    Counted by the pruned word search; equals C(n + length - 1, length), which
     beats any bound of the form constant**length once the alphabet outgrows
     the word length.
     """

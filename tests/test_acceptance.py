@@ -1,5 +1,8 @@
 """Acceptance suite: every catalogued claim at full stated scope.
 
+Criteria 1a, 2, 3, 4, 6b and 7 run the cross-checking suites of
+msetperm.verify at FULL_SCOPE, so `msetperm verify` runs the same checks at
+its default scope.  The remaining criteria assert what no suite asserts.
 Each criterion prints one [acceptance] line (visible with pytest -s, or in
 the captured output on failure) and then asserts.  Counting is exact
 integer arithmetic throughout, so "tolerance" always means equality.
@@ -14,97 +17,85 @@ discrepancies"), and their criteria assert the refutation as found:
   the quoted 20 (the class of (212,213) is missing from the quoted list).
 """
 
+import functools
+import inspect
 import itertools
-import math
 import time
 
-from msetperm.bijections import (
-    PAIR_112_122,
-    PAIR_122_123,
-    PAIR_122_132,
-    DyckWord,
-    LabelSequence,
-    dyck_to_perm,
-    enumerate_dyck_words,
-    enumerate_paths,
-    labels_to_path,
-    labels_to_perm,
-    path_to_labels,
-    perm_to_dyck,
-    perm_to_labels,
-    simion_schmidt_f,
-    simion_schmidt_g,
-)
+from msetperm.bijections import enumerate_dyck_words, enumerate_paths
 from msetperm.classify import classify_all_length3
-from msetperm.core import (
-    LENGTH3_PATTERNS,
-    MultisetPermutation,
-    PatternSet,
-    avoids_all,
-    left_to_right_minima,
-)
-from msetperm.enumeration import count_avoiders, list_avoiders
+from msetperm.core import LENGTH3_PATTERNS, PatternSet
+from msetperm.enumeration import count_avoiders
 from msetperm.formulas import (
     catalan,
     closed_count,
-    explicit_count,
     generalized_catalan,
     lookup,
-    recurrence_count,
     rothe,
 )
-from msetperm.gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height
-from msetperm.growth import check_stirling_identity, word_counts_by_length
-from msetperm.verify import imported_agreement_report
+from msetperm.verify import SUITES, imported_agreement_report, run_suite
 
+#: The scope at which each verify suite backs the acceptance criteria: the
+#: n*m <= 12 grid, trees to n = 60, explicit forms to n = 200, exhaustive
+#: bijections, ascent-free words to length 12, and class cells n*m <= 10.
+FULL_SCOPE = {
+    "table1": {"n_max": 6, "m_max": 3},
+    "gentree": {"n_max": 6, "m_max": 3},
+    "bijections": {},
+    "growth": {"word_max": 12},
+    "classify": {},
+}
 GRID_BUDGET = 12
 
 
-def _grid(m_values=(2, 3), budget=GRID_BUDGET, n_min=0):
-    for m in m_values:
-        for n in range(n_min, budget // m + 1):
+def _grid():
+    for m in (2, 3):
+        for n in range(0, GRID_BUDGET // m + 1):
             yield n, m
 
 
-def _report(criterion: str, failures: list, started: float, detail: str = ""):
+def _report(criterion: str, failures: list, elapsed: float, detail: str = ""):
     status = "PASS" if not failures else "FAIL"
-    elapsed = time.time() - started
     print(f"[acceptance] criterion {criterion}: {status} "
           f"({elapsed:.1f}s){' ' + detail if detail else ''}")
     assert not failures, f"criterion {criterion}: " + " | ".join(
         str(f) for f in failures[:6])
 
 
+@functools.cache
+def _full_run(suite: str):
+    started = time.time()
+    results = run_suite(suite, **FULL_SCOPE[suite])
+    return results, time.time() - started
+
+
+def _assert_suite(criterion: str, suite: str, select=lambda result: True) -> float:
+    """Assert the selected hard checks of a suite run at full scope; return
+    the wall time of that run."""
+    results, elapsed = _full_run(suite)
+    checked = [r for r in results if r.hard and select(r)]
+    assert checked, f"criterion {criterion}: {suite} ran no checks"
+    _report(criterion, [r.line() for r in checked if not r.ok], elapsed,
+            detail=f"({len(checked)} {suite} checks)")
+    return elapsed
+
+
+def test_full_scope_covers_every_suite_at_or_above_its_default():
+    assert FULL_SCOPE.keys() == SUITES.keys()
+    for suite, scope in FULL_SCOPE.items():
+        parameters = inspect.signature(SUITES[suite]).parameters
+        for name, value in scope.items():
+            assert value >= parameters[name].default, (suite, name, value)
+
+
 PROVED_PAIRS = [("112", "122"), ("122", "123"), ("122", "132"),
                 ("211", "213"), ("122", "213"), ("122", "312"), ("122", "321")]
-RECURRENCE_PAIRS = [("211", "213"), ("122", "213")]
 
 
 def test_criterion_1a_proved_table_rows():
-    started = time.time()
-    failures = []
-    for pair in PROVED_PAIRS:
-        ps = PatternSet.of(*pair)
-        for n, m in _grid():
-            formula = closed_count(pair, n, m)
-            oracle = count_avoiders(n, m, ps)
-            if formula != oracle:
-                failures.append(f"{pair} n={n} m={m}: formula {formula}, "
-                                f"oracle {oracle}")
-    for pair in RECURRENCE_PAIRS:
-        ps = PatternSet.of(*pair)
-        for n, m in _grid(n_min=1):
-            rec = recurrence_count(pair, n, m)
-            if rec != count_avoiders(n, m, ps):
-                failures.append(f"recurrence {pair} n={n} m={m}")
-    # spot values
-    if closed_count(("122", "321"), 2, 3) != 4:
-        failures.append("s_{2,3}(122,321) != 4")
-    if count_avoiders(4, 3, PatternSet.of("112", "122")) != 8:
-        failures.append("s_{4,3}(112,122) != 8")
-    if count_avoiders(3, 2, PatternSet.of("112", "122")) != 5 or catalan(3) != 5:
-        failures.append("s_{3,2}(112,122) != catalan(3)")
-    _report("1a (proved table rows)", failures, started)
+    # every proved row against the oracle, its recurrence where it has one,
+    # and the counts quoted in the text
+    _assert_suite("1a (proved table rows)", "table1")
 
 
 def test_criterion_1b_pairs_with_111():
@@ -134,117 +125,28 @@ def test_criterion_1b_pairs_with_111():
                 failures.append(f"{cell}, differs from {other} alone")
             if m == 2 and n >= 2 and (formula != catalan(n) or formula == oracle):
                 failures.append(f"{cell}, quoted catalan(n) should be refuted")
-    _report("1b (pairs containing 111)", failures, started,
+    _report("1b (pairs containing 111)", failures, time.time() - started,
             detail="m=3 and n<=1 agree; m=2 counts as x alone, refuting "
                    "catalan(n) for n>=2")
 
 
 def test_criterion_2_generating_trees():
-    started = time.time()
-    failures = []
-    for name, pair in RULE_PATTERN_PAIRS.items():
-        ps = PatternSet.of(*pair)
-        for n, m in _grid(n_min=0):
-            if name == "112-122@m2" and m != 2:
-                continue
-            tree = count_at_height(builtin_rule(name, m), n)
-            oracle = count_avoiders(n, m, ps)
-            if tree != oracle:
-                failures.append(f"{name} vs oracle at n={n} m={m}")
-    for m in range(2, 6):
-        rules = {name: builtin_rule(name, m) for name in RULE_PATTERN_PAIRS
-                 if not (name == "112-122@m2" and m != 2)}
-        for n in range(0, 61):
-            if m == 2 and count_at_height(rules["112-122@m2"], n) != catalan(n):
-                failures.append(f"112-122@m2 at n={n}")
-            if count_at_height(rules["122-123"], n) != generalized_catalan(n, m):
-                failures.append(f"122-123 at n={n} m={m}")
-            if n >= 1:
-                for name, pair in (("211-213", ("211", "213")),
-                                   ("122-213", ("122", "213"))):
-                    if count_at_height(rules[name], n) != recurrence_count(pair, n, m):
-                        failures.append(f"{name} at n={n} m={m}")
-    _report("2 (generating trees)", failures, started)
-    assert time.time() - started < 5
+    # trees against the oracle on the grid and against formulas to n = 60
+    elapsed = _assert_suite("2 (generating trees)", "gentree",
+                            lambda r: r.name != "explicit-vs-recurrence")
+    assert elapsed < 5
 
 
 def test_criterion_3_explicit_formulas():
-    started = time.time()
-    failures = []
-    for pair in RECURRENCE_PAIRS:
-        for m in range(2, 7):
-            for n in range(1, 201):
-                explicit = explicit_count(pair, n, m)
-                rec = recurrence_count(pair, n, m)
-                if explicit != rec:
-                    failures.append(f"{pair} n={n} m={m}: {explicit} != {rec}")
-    _report("3 (explicit = recurrence)", failures, started)
-    assert time.time() - started < 5
+    elapsed = _assert_suite("3 (explicit = recurrence)", "gentree",
+                            lambda r: r.name == "explicit-vs-recurrence")
+    assert elapsed < 5
 
 
 def test_criterion_4_bijections():
-    started = time.time()
-    failures = []
-
-    # the three worked examples, byte for byte
-    if str(dyck_to_perm(DyckWord("XYXXYXYY"))) != "44323121":
-        failures.append("dyck worked example")
-    if str(simion_schmidt_f(MultisetPermutation.parse("43421231"))) != "43421321":
-        failures.append("minima-map worked example")
-    if str(labels_to_perm(LabelSequence.parse("1,4,7,7,7", 3))) != "443322421311":
-        failures.append("label worked example")
-    if str(perm_to_labels(MultisetPermutation.parse("443322421311"))) != "1,4,7,7,7":
-        failures.append("label worked example (forward)")
-
-    # words <-> permutations over all of S_{n,2}(112,122), n <= 6
-    for n in range(0, 7):
-        avoiders = list_avoiders(n, 2, PAIR_112_122)
-        image = set()
-        for w in enumerate_dyck_words(n):
-            sigma = dyck_to_perm(w)
-            if not avoids_all(sigma, PAIR_112_122):
-                failures.append(f"dyck image violation at {w}")
-            if str(perm_to_dyck(sigma)) != str(w):
-                failures.append(f"dyck round trip at {w}")
-            image.add(sigma.letters)
-        if image != {s.letters for s in avoiders}:
-            failures.append(f"dyck image not onto at n={n}")
-
-    # label sequences over all of S_{n,m}(122,123), n*m <= 12
-    for n, m in _grid(m_values=(2, 3, 4, 5, 6), n_min=0):
-        if m > 2 and n == 0:
-            continue
-        for sigma in list_avoiders(n, m, PAIR_122_123):
-            seq = perm_to_labels(sigma)
-            back = labels_to_perm(seq)
-            if back != sigma or not avoids_all(back, PAIR_122_123):
-                failures.append(f"label round trip at {sigma}")
-
-    # the minima map over all of S_{n,m}(122,132), n*m <= 12
-    for n, m in _grid(m_values=(2, 3, 4, 5, 6), n_min=1):
-        targets = {s.letters for s in list_avoiders(n, m, PAIR_122_123)}
-        image = set()
-        for sigma in list_avoiders(n, m, PAIR_122_132):
-            tau = simion_schmidt_f(sigma)
-            if not avoids_all(tau, PAIR_122_123):
-                failures.append(f"minima-map image violation at {sigma}")
-            if left_to_right_minima(tau) != left_to_right_minima(sigma):
-                failures.append(f"minima moved at {sigma}")
-            if simion_schmidt_g(tau) != sigma:
-                failures.append(f"minima-map round trip at {sigma}")
-            image.add(tau.letters)
-        if image != targets:
-            failures.append(f"minima map not onto at n={n} m={m}")
-
-    # lattice paths, exhaustively for n <= 5, m <= 3
-    for m in (1, 2, 3):
-        for n in range(0, 6):
-            for p in enumerate_paths(n, m):
-                if str(labels_to_path(path_to_labels(p))) != str(p):
-                    failures.append(f"path round trip at {p}")
-
-    _report("4 (bijections)", failures, started)
-    assert time.time() - started < 60
+    # worked examples, then exhaustive round trips with images checked
+    # against the target pattern pair
+    assert _assert_suite("4 (bijections)", "bijections") < 60
 
 
 def test_criterion_5_cardinality_transfers():
@@ -259,7 +161,7 @@ def test_criterion_5_cardinality_transfers():
             paths = sum(1 for _ in enumerate_paths(n, m))
             if paths != rothe(1, m + 1, n) or paths != generalized_catalan(n, m):
                 failures.append(f"|paths({n},{m})| = {paths}")
-    _report("5 (cardinality transfers)", failures, started)
+    _report("5 (cardinality transfers)", failures, time.time() - started)
 
 
 #: The pairs of the quoted 20-row class table: the proved rows plus the
@@ -310,45 +212,16 @@ def test_criterion_6a_classification_size():
         failures.append(f"classes missing from the quoted table: "
                         f"{[str(c) for c in missing]}")
     _report("6a (66 pairs, 21 classes; quoted list misses (212,213))",
-            failures, started,
+            failures, time.time() - started,
             detail=f"Burnside ({len(pairs)} + {' + '.join(map(str, fixed))}) / 4")
 
 
 def test_criterion_6b_within_class_count_equality():
-    started = time.time()
-    failures = []
-    cells = [(n, m) for m in range(2, 11) for n in range(1, 10 // m + 1)]
-    for cls in classify_all_length3():
-        vectors = set()
-        for member in cls.members:
-            ps = PatternSet(member)
-            vectors.add(tuple(count_avoiders(n, m, ps) for n, m in cells))
-        if len(vectors) != 1:
-            failures.append(f"counts differ within class {cls}")
-    _report("6b (within-class equality)", failures, started)
+    _assert_suite("6b (within-class equality)", "classify")
 
 
 def test_criterion_7_growth_probes():
-    started = time.time()
-    failures = []
-    for n, m in _grid(n_min=1):
-        verdict = check_stirling_identity(n, m)
-        if not verdict.equal:
-            failures.append(f"stirling at n={n} m={m}: "
-                            f"{verdict.enumerated} != {verdict.formula}")
-    if check_stirling_identity(2, 2).formula != 3:
-        failures.append("s_{2,2}(212) != 3")
-    block = PatternSet.of("212", "121")
-    for n, m in _grid(n_min=1):
-        if count_avoiders(n, m, block) != math.factorial(n):
-            failures.append(f"(212,121) != n! at n={n} m={m}")
-    ascent_free = PatternSet.of("12")
-    for n in range(1, 13):
-        counts = word_counts_by_length(n, 12, ascent_free)
-        for length in range(1, 13):
-            if counts[length] != math.comb(n + length - 1, length):
-                failures.append(f"word count at l={length} n={n}")
-    _report("7 (growth probes)", failures, started)
+    _assert_suite("7 (growth probes)", "growth")
 
 
 def test_criterion_8_imported_row_report():
@@ -370,6 +243,6 @@ def test_criterion_8_imported_row_report():
         failures.append("(212,132) row unexpectedly agrees everywhere")
     if not any(r.agree for r in row_cat if r.n <= 2):
         failures.append("(212,132) row should agree for n <= 2")
-    _report("8 (imported-row report)", failures, started,
+    _report("8 (imported-row report)", failures, time.time() - started,
             detail=f"({sum(1 for r in report if r.applicable and not r.agree)} "
                    f"recorded disagreements)")

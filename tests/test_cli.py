@@ -178,6 +178,14 @@ class TestOtherCommands:
             assert code == 0, out
             assert "FAIL" not in out
 
+    def test_verify_refuses_options_the_suite_ignores(self, capsys):
+        for argv in (("--suite", "growth", "--nmax", "2"),
+                     ("--suite", "classify", "--mmax", "2"),
+                     ("--suite", "gentree", "--report")):
+            code, out, err = run_cli(capsys, "verify", *argv)
+            assert code == 2 and out == "", argv
+            assert "unsupported" in err
+
     def test_rule_command(self, capsys):
         code, out, _ = run_cli(capsys, "rule", "--name", "122-213", "--m", "3",
                                "--heights", "4")

@@ -5,7 +5,6 @@ import pytest
 
 from msetperm.core import LENGTH3_PATTERNS, PatternSet, TRIPLE_REPEAT
 from msetperm.enumeration import (
-    EnumerationTask,
     count_avoiders,
     generate_all,
     list_avoiders,
@@ -80,14 +79,6 @@ def test_budget_guard():
         list(generate_all(8, (2,) * 8))
     # the pruned counter gets a higher allowance than the materializing paths
     assert count_avoiders(8, 2, PatternSet.of("112", "122")) == 1430  # catalan(8)
-
-
-def test_enumeration_task_wraps_both_modes():
-    ps = PatternSet.of("212")
-    count_task = EnumerationTask.regular(2, 2, ps)
-    list_task = EnumerationTask.regular(2, 2, ps, mode="list", limit=2)
-    assert count_task.run() == 3
-    assert [str(s) for s in list_task.run()] == ["1122", "1221"]
 
 
 # -- the heart of the oracle: exhaustive agreement with filter-after-generate --

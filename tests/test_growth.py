@@ -97,6 +97,15 @@ class TestGrowthTable:
         rows = growth_table(PatternSet.of("122", "211"), [(3, 2)])
         assert rows[0].count == 0 and rows[0].ratio == 0.0
 
+    @pytest.mark.parametrize("pair,counts", [
+        (("212", "132"), [1, 3, 10, 37, 146]),  # quoted row: 1, 3, 12, 55, 273
+        (("111", "123"), [1, 6, 43, 352]),      # quoted row: catalan(n)
+    ])
+    def test_unproved_rows_are_counted_by_the_oracle(self, pair, counts):
+        rows = growth_table(PatternSet.of(*pair),
+                            [(n, 2) for n in range(1, len(counts) + 1)])
+        assert [r.count for r in rows] == counts
+
     def test_csv_shape(self):
         rows = growth_table(PatternSet.of("212"), [(2, 2), (3, 2)])
         text = growth_csv(rows)

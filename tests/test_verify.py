@@ -1,16 +1,8 @@
 from msetperm.verify import (
     imported_agreement_report,
-    run_suite,
     verify_bijections,
     verify_table1,
 )
-
-
-def test_every_hard_check_passes():
-    for suite in ("table1", "gentree", "bijections", "growth", "classify"):
-        for res in run_suite(suite):
-            if res.hard:
-                assert res.ok, res.line()
 
 
 def test_table1_covers_all_proved_rows():
