@@ -29,7 +29,7 @@ from .errors import (
 from .formulas import REGISTRY, catalog, closed_count, recurrence_count
 from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height
 from .growth import growth_csv, growth_table
-from .verify import imported_agreement_report, run_suite
+from .verify import CheckResult, imported_agreement_report, run_suite
 
 AUDIT_RATE = 0.05
 
@@ -154,12 +154,20 @@ def cmd_count(args) -> int:
 def cmd_verify(args) -> int:
     kwargs = {}
     if args.suite in ("table1", "gentree"):
-        kwargs = {"n_max": args.nmax or 4, "m_max": args.mmax or 3}
+        kwargs = {"n_max": 4 if args.nmax is None else args.nmax,
+                  "m_max": 3 if args.mmax is None else args.mmax}
     elif args.nmax is not None or args.mmax is not None:
         raise Unsupported(f"--nmax/--mmax do not apply to --suite {args.suite}")
     if args.report and args.suite != "table1":
         raise Unsupported("--report applies only to --suite table1")
     results = run_suite(args.suite, **kwargs)
+    if args.report:
+        report = imported_agreement_report(**kwargs)
+        disagreements = sum(1 for row in report if row.applicable and not row.agree)
+        results.append(CheckResult(
+            "table1", "imported-rows", True,
+            f"{len(report)} cells reported, {disagreements} disagreements "
+            f"(never asserted)", hard=False))
     for res in results:
         if args.records:
             print(json.dumps({"suite": res.suite, "name": res.name,
@@ -167,8 +175,8 @@ def cmd_verify(args) -> int:
                               "detail": res.detail}))
         else:
             print(res.line())
-    if args.suite == "table1" and args.report:
-        for row in imported_agreement_report(args.nmax or 4, args.mmax or 3):
+    if args.report:
+        for row in report:
             if not row.applicable:
                 mark, formula = "n/a", "-"
             else:
@@ -233,7 +241,7 @@ def cmd_classify(args) -> int:
     total = sum(c["orbit_size"] for c in table)
     print(f"{total} pairs in {len(classes)} classes")
     if args.empirical:
-        groups = empirical_wilf_classes(args.nmax or 4, args.mmax or 3)
+        groups = empirical_wilf_classes(args.nmax, args.mmax)
         print(f"empirical grouping on the grid: {len(groups)} groups")
         for group in groups:
             names = " ".join(f"({c.representative[0]},{c.representative[1]})"
@@ -247,7 +255,7 @@ def cmd_table(args) -> int:
         _emit(catalog(), ["pair", "table_pair", "trust", "validity",
                           "servable", "provenance", "note"], args)
         return 0
-    n_max, m_max = args.nmax or 4, args.mmax or 3
+    n_max, m_max = args.nmax, args.mmax
     records = []
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         row = {"pair": f"{entry.table_pair[0]},{entry.table_pair[1]}",
@@ -277,7 +285,7 @@ def cmd_rule(args) -> int:
 
 def cmd_growth(args) -> int:
     patterns = PatternSet.of(*[p.strip() for p in args.pattern.split(",") if p.strip()])
-    grid = [(n, args.m) for n in range(1, (args.nmax or 5) + 1)]
+    grid = [(n, args.m) for n in range(1, args.nmax + 1)]
     rows = growth_table(patterns, grid)
     if args.csv:
         sys.stdout.write(growth_csv(rows))
@@ -336,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="print the symmetry classes")
     p.add_argument("--empirical", action="store_true",
                    help="also group classes by counting vectors")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--mmax", type=int)
+    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--mmax", type=int, default=3)
     output_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("table", help="evaluate the formula catalog on a grid")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--mmax", type=int)
+    p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--mmax", type=int, default=3)
     p.add_argument("--catalog", action="store_true",
                    help="print catalog metadata instead of values")
     output_flags(p)
@@ -360,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True,
                    help="comma-separated patterns, e.g. 212 or 122,123")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nmax", type=int)
+    p.add_argument("--nmax", type=int, default=5)
     output_flags(p)
     p.set_defaults(func=cmd_growth)
 

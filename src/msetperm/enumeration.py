@@ -1,11 +1,13 @@
 """Brute-force oracle: generate, count, and list pattern-avoiding permutations.
 
-Counting walks the prefix tree of the multiset permutations depth first and
-never extends a prefix that already contains a forbidden pattern.  This is
-sound because containment is monotone under appending letters.  For the
-canonical patterns of length <= 3 the "would this letter complete a
-pattern?" test is answered in O(1) from incrementally maintained bitmasks
-and thresholds; anything longer falls back to a direct containment check.
+One walk serves counting, listing, generation (no patterns) and word
+counting (each letter's capacity raised to the word length).  It visits the
+prefix tree depth first and never extends a prefix that already contains a
+forbidden pattern.  This is sound because containment is monotone under
+appending letters.  For the canonical patterns of length <= 3 the "would
+this letter complete a pattern?" test is answered in O(1) from
+incrementally maintained bitmasks and thresholds; anything longer falls
+back to a direct containment check.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -129,88 +131,69 @@ _DANGER: dict[tuple[int, ...], Callable[[_State, int], bool]] = {
 }
 
 
-class _Engine:
-    """Bundles the danger tests for one pattern set."""
+def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
+         visit: Callable[[list[int]], bool] | None = None) -> list[int]:
+    """The package's one prefix search.  counts[d] is the number of
+    avoidance-clean prefixes of length d that use each letter c at most
+    capacity[c] times (capacity is 1-indexed by letter).
 
-    __slots__ = ("fast", "slow")
-
-    def __init__(self, patterns: PatternSet):
-        self.fast = [_DANGER[p.letters] for p in patterns if p.letters in _DANGER]
-        self.slow = [p for p in patterns if p.letters not in _DANGER]
-
-    def danger(self, state: _State, c: int, prefix: list[int]) -> bool:
-        for test in self.fast:
-            if test(state, c):
-                return True
-        if self.slow:
-            candidate = prefix + [c]
-            for p in self.slow:
-                if contains(candidate, p):
-                    return True
-        return False
-
-
-def _dfs(n: int, capacity: Sequence[int], total: int, patterns: PatternSet,
-         visit: Callable[[list[int]], bool] | None) -> int:
-    """Count avoidance-clean leaves; optionally visit each (visit returning
-    False stops the search).  capacity is 1-indexed by letter."""
-    engine = _Engine(patterns)
+    A prefix that contains a pattern is never extended, and the last level
+    is only counted, never advanced.  visit(prefix) sees each full-length
+    prefix in lexicographic order (copy it to keep it); a False return
+    stops the search, leaving the counts partial.
+    """
+    fast = [_DANGER[p.letters] for p in patterns if p.letters in _DANGER]
+    slow = [p for p in patterns if p.letters not in _DANGER]
+    counts = [1] + [0] * depth
     remaining = list(capacity)
     prefix: list[int] = []
-    count = 0
-    stop = False
 
-    def rec(state: _State, depth: int) -> None:
-        nonlocal count, stop
-        if depth == total:
-            count += 1
-            if visit is not None and not visit(prefix):
-                stop = True
-            return
+    def rec(state: _State, d: int) -> bool:
+        """Walk below the current prefix; False once visit asks to stop."""
+        last = d + 1 == depth
         for c in range(1, n + 1):
-            if stop:
-                return
-            if remaining[c] == 0 or engine.danger(state, c, prefix):
+            if not remaining[c]:
                 continue
-            remaining[c] -= 1
-            prefix.append(c)
-            rec(_advance(state, c, capacity[c] - remaining[c]), depth + 1)
-            prefix.pop()
-            remaining[c] += 1
+            for test in fast:
+                if test(state, c):
+                    break
+            else:  # no O(1) test fired
+                if slow and any(contains(prefix + [c], p) for p in slow):
+                    continue
+                counts[d + 1] += 1
+                if last and visit is None:
+                    continue
+                prefix.append(c)
+                if last:
+                    keep = visit(prefix)
+                else:
+                    remaining[c] -= 1
+                    keep = rec(_advance(state, c, capacity[c] - remaining[c]), d + 1)
+                    remaining[c] += 1
+                prefix.pop()
+                if not keep:
+                    return False
+        return True
 
-    rec(_initial_state(n), 0)
-    return count
-
-
-def _count(n: int, mu: tuple[int, ...], patterns: PatternSet, override: bool) -> int:
-    total = sum(mu)
-    if n == 0:
-        return 1  # the empty permutation avoids every (nonempty) pattern
-    if len(patterns) == 0:
-        # No restriction: the multinomial counts everything.
-        out = math.factorial(total)
-        for m in mu:
-            out //= math.factorial(m)
-        return out
-    _check_budget(total, COUNT_LENGTH_BUDGET, override)
-    capacity = (0,) + mu
-    return _dfs(n, capacity, total, patterns, None)
+    if depth == 0:
+        if visit is not None:
+            visit(prefix)
+    else:
+        rec(_initial_state(n), 0)
+    return counts
 
 
 def _list(n: int, mu: tuple[int, ...], patterns: PatternSet,
           limit: int | None, override: bool) -> list[MultisetPermutation]:
     total = sum(mu)
-    if n == 0:
-        return [MultisetPermutation((), 0, ())][: limit if limit is not None else 1]
     _check_budget(total, LIST_LENGTH_BUDGET, override)
-    capacity = (0,) + mu
     out: list[MultisetPermutation] = []
 
     def visit(prefix: list[int]) -> bool:
         out.append(MultisetPermutation(tuple(prefix), n, mu))
         return limit is None or len(out) < limit
 
-    _dfs(n, capacity, total, patterns, visit)
+    walk(n, (0,) + mu, total, patterns, visit)
     return out
 
 
@@ -218,31 +201,12 @@ def _list(n: int, mu: tuple[int, ...], patterns: PatternSet,
 
 def generate_all(n: int, mu: Sequence[int], *, override_budget: bool = False
                  ) -> Iterator[MultisetPermutation]:
-    """Yield every permutation of {1^mu(1), ..., n^mu(n)} in lexicographic order."""
+    """Every permutation of {1^mu(1), ..., n^mu(n)} in lexicographic order:
+    the listing walk with no patterns, built in full before it is returned."""
     mu = tuple(mu)
     if n < 0 or len(mu) != n or any(m < 1 for m in mu):
         raise ValueError("need n >= 0 and a positive multiplicity for each letter")
-    total = sum(mu)
-    if n == 0:
-        yield MultisetPermutation((), 0, ())
-        return
-    _check_budget(total, LIST_LENGTH_BUDGET, override_budget)
-    remaining = [0] + list(mu)
-    prefix: list[int] = []
-
-    def rec(depth: int) -> Iterator[MultisetPermutation]:
-        if depth == total:
-            yield MultisetPermutation(tuple(prefix), n, mu)
-            return
-        for c in range(1, n + 1):
-            if remaining[c]:
-                remaining[c] -= 1
-                prefix.append(c)
-                yield from rec(depth + 1)
-                prefix.pop()
-                remaining[c] += 1
-
-    yield from rec(0)
+    return iter(_list(n, mu, PatternSet(()), None, override_budget))
 
 
 def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence, *,
@@ -251,7 +215,13 @@ def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence, *,
     patterns = _as_pattern_set(patterns)
     if n < 0 or (n > 0 and m < 1):
         raise ValueError("need n >= 0 and m >= 1")
-    return _count(n, (m,) * n, patterns, override_budget)
+    if n == 0:
+        return 1  # the empty permutation avoids every (nonempty) pattern
+    if len(patterns) == 0:
+        # No restriction: the multinomial counts everything.
+        return math.factorial(n * m) // math.factorial(m) ** n
+    _check_budget(n * m, COUNT_LENGTH_BUDGET, override_budget)
+    return walk(n, (0,) + (m,) * n, n * m, patterns)[n * m]
 
 
 def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence,
@@ -264,6 +234,18 @@ def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence,
     if limit is not None and limit == 0:
         return []
     return _list(n, (m,) * n, patterns, limit, override_budget)
+
+
+def word_counts_by_length(n: int, max_length: int, patterns: PatternSet | Sequence,
+                          *, override_budget: bool = False) -> list[int]:
+    """Avoiding words over [n] of every length 0..max_length, counted in one
+    walk: words are the prefixes of a search in which every letter may be
+    used max_length times."""
+    patterns = _as_pattern_set(patterns)
+    if n < 0 or max_length < 0:
+        raise ValueError("need n >= 0 and length >= 0")
+    _check_budget(max_length, COUNT_LENGTH_BUDGET, override_budget)
+    return walk(n, (0,) + (max_length,) * n, max_length, patterns)
 
 
 def _as_pattern_set(patterns) -> PatternSet:

@@ -5,9 +5,9 @@ avoiding a pattern with repeated letters can leave super-exponential
 families (the 212-avoiders are the standard example).  The probes report
 exact counts together with the display-only ratio count**(1/(n*m)).
 
-Words (letter counts unconstrained) appear only here, as a thin variant of
-the enumeration search with the per-letter capacity raised to the word
-length.
+Words (letter counts unconstrained) are counted by the enumeration walk
+that also counts, lists and generates permutations: each letter's capacity
+is raised to the word length.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Pattern, PatternSet
-from .enumeration import (
-    COUNT_LENGTH_BUDGET,
-    _Engine,
-    _advance,
-    _check_budget,
-    _initial_state,
-    count_avoiders,
-)
+from .enumeration import count_avoiders, word_counts_by_length
 from .errors import OutOfDomain, Unsupported
 from .formulas import closed_count, lookup, stirling_count
 
@@ -112,47 +105,11 @@ def check_stirling_identity(n: int, m: int, *, override_budget: bool = False
 def count_words_avoiding(n: int, length: int, patterns: PatternSet | Sequence,
                          *, override_budget: bool = False) -> int:
     """Words of the given length over [n] avoiding every pattern, counted by
-    the same pruned search as the permutation oracle but with no multiplicity
+    the same walk as the permutation oracle with no multiplicity
     constraint."""
     counts = word_counts_by_length(n, length, patterns,
                                    override_budget=override_budget)
     return counts[length]
-
-
-def word_counts_by_length(n: int, max_length: int, patterns: PatternSet | Sequence,
-                          *, override_budget: bool = False) -> list[int]:
-    """Avoider counts for every word length 0..max_length in one search.
-
-    Every visited prefix is itself an avoiding word, so one depth-first walk
-    of the pruned prefix tree counts all lengths at once.
-    """
-    if not isinstance(patterns, PatternSet):
-        patterns = PatternSet.of(*patterns)
-    if n < 0 or max_length < 0:
-        raise ValueError("need n >= 0 and length >= 0")
-    _check_budget(max_length, COUNT_LENGTH_BUDGET, override_budget)
-    counts = [0] * (max_length + 1)
-    counts[0] = 1
-    if n == 0 or max_length == 0:
-        return counts
-    engine = _Engine(patterns)
-    prefix: list[int] = []
-    seen = [0] * (n + 1)
-
-    def rec(state, depth: int) -> None:
-        for c in range(1, n + 1):
-            if engine.danger(state, c, prefix):
-                continue
-            counts[depth + 1] += 1
-            if depth + 1 < max_length:
-                prefix.append(c)
-                seen[c] += 1
-                rec(_advance(state, c, seen[c]), depth + 1)
-                seen[c] -= 1
-                prefix.pop()
-
-    rec(_initial_state(n), 0)
-    return counts
 
 
 def word_counterexample_probe(length: int, n: int) -> int:

@@ -25,13 +25,16 @@ def naive_avoids(sigma, patterns):
     return all(not naive_contains(sigma, p) for p in patterns)
 
 
-def all_regular_perms(n, m):
-    if n == 0:
-        return [()]
+def all_multiset_perms(mu):
+    """Every arrangement of {1^mu[0], ..., n^mu[n-1]}, sorted, no duplicates."""
     base = []
-    for v in range(1, n + 1):
+    for v, m in enumerate(mu, start=1):
         base.extend([v] * m)
     return sorted(set(itertools.permutations(base)))
+
+
+def all_regular_perms(n, m):
+    return all_multiset_perms([m] * n)
 
 
 def naive_count(n, m, patterns):

@@ -193,6 +193,19 @@ class TestOtherCommands:
         assert out.splitlines()[0] == "root 1"
         assert "counts by height: 1 1 4 13 43" in out
 
+    def test_explicit_zero_scope_is_not_replaced_by_the_default(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--nmax", "0")
+        assert code == 0
+        # n = 0 only, at m = 2 and m = 3; the default scope would give n <= 4
+        assert all(line.endswith(": 2 cells") for line in out.splitlines()), out
+        code, out, _ = run_cli(capsys, "growth", "--pattern", "212", "--m", "2",
+                               "--nmax", "0", "--csv")
+        assert code == 0 and out == "n,m,count,ratio\n"
+        code, out, _ = run_cli(capsys, "table", "--nmax", "0", "--records")
+        assert code == 0
+        assert all(json.loads(line).keys() == {"pair", "trust"}
+                   for line in out.splitlines())
+
     def test_verify_table1_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table1",
                                "--nmax", "3", "--mmax", "2", "--report")

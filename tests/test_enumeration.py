@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msetperm.core import LENGTH3_PATTERNS, PatternSet, TRIPLE_REPEAT
 from msetperm.enumeration import (
@@ -11,7 +12,7 @@ from msetperm.enumeration import (
 )
 from msetperm.errors import BudgetExceeded
 
-from reference import naive_count, naive_list
+from reference import all_multiset_perms, naive_count, naive_list
 
 
 def test_generate_all_small():
@@ -125,3 +126,35 @@ def test_counts_invariant_under_pattern_symmetry():
         base = count_avoiders(2, 3, ps)
         assert count_avoiders(2, 3, ps.reverse()) == base
         assert count_avoiders(2, 3, ps.complement()) == base
+
+
+# -- differential tests of the walk against the naive reference ----------------
+
+#: Pattern sets of one to three patterns of length 1 to 4; length-4 patterns
+#: take the direct containment check instead of the O(1) danger tests.
+pattern_sets = st.lists(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+    min_size=1, max_size=3,
+).map(lambda specs: PatternSet.of(*specs))
+small_cells = st.sampled_from([(n, m) for n in range(0, 7) for m in range(1, 4)
+                               if n * m <= 6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_sets, small_cells, st.none() | st.integers(min_value=0, max_value=6))
+def test_walk_matches_naive_reference(ps, cell, limit):
+    n, m = cell
+    raw = [p.letters for p in ps]
+    naive = naive_list(n, m, raw)
+    assert count_avoiders(n, m, ps) == len(naive)
+    assert [s.letters for s in list_avoiders(n, m, ps)] == naive
+    assert [s.letters for s in list_avoiders(n, m, ps, limit=limit)] == \
+        naive[:limit]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4)
+       .filter(lambda mu: len(set(mu)) > 1 and sum(mu) <= 7))
+def test_generate_all_matches_naive_generator_on_irregular_multisets(mu):
+    out = [s.letters for s in generate_all(len(mu), mu)]
+    assert out == all_multiset_perms(mu)

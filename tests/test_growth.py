@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msetperm.core import PatternSet
 from msetperm.errors import BudgetExceeded
@@ -47,6 +48,21 @@ class TestWordProbe:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             count_words_avoiding(3, 25, PatternSet.of("12"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(min_value=1, max_value=4),
+                             min_size=1, max_size=4), min_size=1, max_size=3),
+           st.sampled_from([(n, length) for n in range(0, 5) for length in range(0, 6)
+                            if n ** length <= 256]))
+    def test_word_counts_match_naive_reference(self, specs, cell):
+        # patterns of length 1 to 4; length 4 takes the direct containment check
+        n, max_length = cell
+        ps = PatternSet.of(*specs)
+        raw = [p.letters for p in ps]
+        assert word_counts_by_length(n, max_length, ps) == \
+            [naive_word_count(n, length, raw) for length in range(max_length + 1)]
+        assert count_words_avoiding(n, max_length, ps) == \
+            naive_word_count(n, max_length, raw)
 
 
 class TestStirlingIdentity:
