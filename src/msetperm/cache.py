@@ -1,11 +1,13 @@
-"""Append-only result cache for the command line.
+"""Append-only cache of oracle counts for the command line.
 
-One JSON record per line, keyed by a digest of (canonical pair, n, m,
-method, catalog version).  Counts are stored as strings so any tool can
-read the file without big-integer support.  A corrupt line is skipped with
-a warning; the cache can only ever cost a recomputation, never produce a
-wrong answer.  Writes take an exclusive advisory lock so concurrent CLI
-runs append safely.
+Only the pruned-search oracle is cached; formulas, recurrences and
+succession rules recompute faster than the file is read.  One JSON record
+per line, keyed by a digest of (pair as given, n, m).  Counts are stored as
+strings so any tool can read the file without big-integer support.  A
+corrupt line is skipped with a warning, and a hit whose key falls in a
+fixed 1-in-AUDIT_EVERY bucket is recomputed on every lookup, so the cache
+can only cost a recomputation, never produce a wrong answer.  Writes take
+an exclusive advisory lock so concurrent CLI runs append safely.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import json
 import os
 import sys
 from pathlib import Path
-
-from .formulas import CATALOG_VERSION
+from typing import Callable
 
 ENV_VAR = "MSETPERM_CACHE"
+AUDIT_EVERY = 20
 
 
 def default_cache_path() -> Path:
@@ -30,8 +32,8 @@ def default_cache_path() -> Path:
     return Path(base) / "msetperm" / "counts.jsonl"
 
 
-def _digest(pair: tuple[str, str], n: int, m: int, method: str) -> str:
-    payload = json.dumps([list(pair), n, m, method, CATALOG_VERSION])
+def _digest(pair: tuple[str, str], n: int, m: int) -> str:
+    payload = json.dumps([list(pair), n, m])
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -45,8 +47,23 @@ class CountCache:
             print(f"cache warning: {message}", file=sys.stderr)
             self._warned = True
 
-    def lookup(self, pair: tuple[str, str], n: int, m: int, method: str) -> int | None:
-        key = _digest(pair, n, m, method)
+    def count(self, pair: tuple[str, str], n: int, m: int,
+              compute: Callable[[], int]) -> int:
+        """The cached count, or ``compute()``'s.  An audited hit is recomputed;
+        a fresh value that differs is appended, and the last record wins."""
+        hit = self.lookup(pair, n, m)
+        if hit is not None and int(_digest(pair, n, m), 16) % AUDIT_EVERY:
+            return hit
+        value = compute()
+        if value != hit:
+            if hit is not None:
+                print(f"cache warning: audit mismatch for {pair} n={n} m={m}: "
+                      f"cached {hit}, recomputed {value}", file=sys.stderr)
+            self.store(pair, n, m, value)
+        return value
+
+    def lookup(self, pair: tuple[str, str], n: int, m: int) -> int | None:
+        key = _digest(pair, n, m)
         try:
             text = self.path.read_text()
         except FileNotFoundError:
@@ -60,21 +77,18 @@ class CountCache:
                 continue
             try:
                 record = json.loads(line)
-                if record["key"] == key and record["version"] == CATALOG_VERSION:
+                if record["key"] == key:
                     hit = int(record["count"])
             except (ValueError, KeyError, TypeError):
                 self._warn(f"ignoring corrupt line in {self.path}")
         return hit
 
-    def store(self, pair: tuple[str, str], n: int, m: int, method: str,
-              count: int) -> None:
+    def store(self, pair: tuple[str, str], n: int, m: int, count: int) -> None:
         record = {
-            "key": _digest(pair, n, m, method),
+            "key": _digest(pair, n, m),
             "pair": list(pair),
             "n": n,
             "m": m,
-            "method": method,
-            "version": CATALOG_VERSION,
             "count": str(count),
         }
         line = json.dumps(record) + "\n"

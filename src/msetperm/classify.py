@@ -95,19 +95,19 @@ def classify_all_length3() -> tuple[PatternPairClass, ...]:
     return tuple(sorted(seen.values(), key=lambda c: c.representative))
 
 
-def count_vector(pair, n_max: int, m_max: int, *, m_min: int = 2,
+def count_vector(pair, n_max: int, m_max: int, *,
                  override_budget: bool = False) -> tuple[int, ...]:
     """Avoider counts over the (n, m) grid, row-major in n then m."""
     a, b = _as_pair(pair)
     patterns = PatternSet((a, b))
     out = []
     for n in range(1, n_max + 1):
-        for m in range(m_min, m_max + 1):
+        for m in range(2, m_max + 1):
             out.append(count_avoiders(n, m, patterns, override_budget=override_budget))
     return tuple(out)
 
 
-def empirical_wilf_classes(n_max: int, m_max: int, *, m_min: int = 2,
+def empirical_wilf_classes(n_max: int, m_max: int, *,
                            override_budget: bool = False
                            ) -> tuple[tuple[PatternPairClass, ...], ...]:
     """Group the symmetry classes by their counting vectors on a finite grid.
@@ -122,7 +122,7 @@ def empirical_wilf_classes(n_max: int, m_max: int, *, m_min: int = 2,
         )
     groups: dict[tuple[int, ...], list[PatternPairClass]] = {}
     for cls in classify_all_length3():
-        vec = count_vector(cls.representative, n_max, m_max, m_min=m_min,
+        vec = count_vector(cls.representative, n_max, m_max,
                            override_budget=override_budget)
         groups.setdefault(vec, []).append(cls)
     return tuple(tuple(g) for g in sorted(groups.values(),

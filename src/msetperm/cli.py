@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -30,8 +29,6 @@ from .formulas import REGISTRY, catalog, closed_count, recurrence_count
 from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height
 from .growth import growth_csv, growth_table
 from .verify import CheckResult, imported_agreement_report, run_suite
-
-AUDIT_RATE = 0.05
 
 
 def _parse_pair(text: str) -> tuple[str, str]:
@@ -72,48 +69,34 @@ def _rule_for_pair(pair: tuple[str, str], m: int):
 
 
 def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
-               cache: CountCache | None, rng: random.Random) -> int:
-    if cache is not None:
-        hit = cache.lookup(pair, n, m, method)
-        if hit is not None:
-            if rng.random() >= AUDIT_RATE:
-                return hit
-            fresh = _count_one(pair, n, m, method, None, rng)
-            if fresh != hit:
-                print(f"cache warning: audit mismatch for {pair} n={n} m={m} "
-                      f"{method}: cached {hit}, recomputed {fresh}",
-                      file=sys.stderr)
-                cache.store(pair, n, m, method, fresh)  # last record wins
-            return fresh
+               cache: CountCache | None) -> int:
     if method == "oracle":
-        value = count_avoiders(n, m, PatternSet.of(*pair))
-    elif method == "formula":
-        value = closed_count(pair, n, m)
-    elif method == "recurrence":
-        value = recurrence_count(pair, n, m) if n >= 1 else 1
-    elif method == "gentree":
+        def compute() -> int:
+            return count_avoiders(n, m, PatternSet.of(*pair))
+        return compute() if cache is None else cache.count(pair, n, m, compute)
+    if method == "formula":
+        return closed_count(pair, n, m)
+    if method == "recurrence":
+        return recurrence_count(pair, n, m) if n >= 1 else 1
+    if method == "gentree":
         name = _rule_for_pair(pair, m)
         if name is None:
             raise Unsupported(f"no built-in succession rule covers {pair} at m={m}")
-        value = count_at_height(builtin_rule(name, m), n)
-    else:
-        raise Unsupported(f"unknown method {method!r}")
-    if cache is not None:
-        cache.store(pair, n, m, method, value)
-    return value
+        return count_at_height(builtin_rule(name, m), n)
+    raise Unsupported(f"unknown method {method!r}")
 
 
 def cmd_count(args) -> int:
     pair = _parse_pair(args.pair)
     cache = None if args.no_cache else CountCache(
         Path(args.cache) if args.cache else None)
-    rng = random.Random()
     if args.bfile:
         if args.nmax is None:
             raise Unsupported("--bfile needs --nmax")
-        method = args.method if args.method != "all" else "formula"
+        if args.method == "all":
+            raise Unsupported("--bfile needs one method, not --method all")
         for n in range(1, args.nmax + 1):
-            print(f"{n} {_count_one(pair, n, args.m, method, cache, rng)}")
+            print(f"{n} {_count_one(pair, n, args.m, args.method, cache)}")
         return 0
     if args.n is None:
         raise Unsupported("--n is required (or use --bfile with --nmax)")
@@ -123,7 +106,7 @@ def cmd_count(args) -> int:
     values = {}
     for method in methods:
         try:
-            value = _count_one(pair, args.n, args.m, method, cache, rng)
+            value = _count_one(pair, args.n, args.m, method, cache)
         except (Unsupported, OutOfDomain) as exc:
             if args.method == "all":
                 records.append({"pair": args.pair, "n": args.n, "m": args.m,
@@ -177,6 +160,12 @@ def cmd_verify(args) -> int:
             print(res.line())
     if args.report:
         for row in report:
+            if args.records:
+                print(json.dumps({"table_pair": list(row.table_pair),
+                                  "n": row.n, "m": row.m, "trust": row.trust,
+                                  "formula": row.formula, "oracle": row.oracle,
+                                  "agree": row.agree if row.applicable else None}))
+                continue
             if not row.applicable:
                 mark, formula = "n/a", "-"
             else:
@@ -319,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit 'n value' sequence lines for n = 1..nmax")
     p.add_argument("--nmax", type=int, help="largest n for --bfile")
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--cache", help="cache file (default: $MSETPERM_CACHE)")
+    p.add_argument("--cache", help="oracle count cache file (default: $MSETPERM_CACHE)")
     output_flags(p)
     p.set_defaults(func=cmd_count)
 

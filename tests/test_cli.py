@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import msetperm
 from msetperm.cache import CountCache
 from msetperm.cli import main
 
@@ -62,12 +65,18 @@ class TestCount:
                                                   "recurrence", "gentree"}
         assert all(r["count"] == 7 for r in records)
 
+    def test_bfile_refuses_method_all(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--pair", "122,123", "--m", "2",
+                                 "--bfile", "--nmax", "3", "--method", "all",
+                                 "--no-cache")
+        assert code == 2 and out == "" and "unsupported" in err
+
 
 class TestCache:
     def test_hit_serves_and_audit_agrees(self, tmp_path, capsys, monkeypatch):
         cache_file = tmp_path / "counts.jsonl"
         argv = ["count", "--pair", "122,213", "--n", "4", "--m", "3",
-                "--cache", str(cache_file)]
+                "--method", "oracle", "--cache", str(cache_file)]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out.strip() == "43"
         assert cache_file.exists()
@@ -75,40 +84,87 @@ class TestCache:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out.strip() == "43"
 
+    def test_second_oracle_answer_comes_from_the_file(self, tmp_path, capsys,
+                                                      monkeypatch):
+        cache_file = tmp_path / "counts.jsonl"
+        argv = ["count", "--pair", "122,312", "--n", "4", "--m", "2",
+                "--method", "oracle", "--cache", str(cache_file)]
+        assert run_cli(capsys, *argv)[:2] == (0, "7\n")
+
+        # this key is outside the audit bucket, so a hit is never recomputed
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the oracle ran on a cache hit")
+        monkeypatch.setattr("msetperm.cli.count_avoiders", unreachable)
+        assert run_cli(capsys, *argv)[:2] == (0, "7\n")
+
     def test_env_var_location(self, tmp_path, monkeypatch, capsys):
         cache_file = tmp_path / "env-cache.jsonl"
         monkeypatch.setenv("MSETPERM_CACHE", str(cache_file))
         code, out, _ = run_cli(capsys, "count", "--pair", "122,312",
-                               "--n", "4", "--m", "2")
+                               "--n", "4", "--m", "2", "--method", "oracle")
         assert code == 0 and out.strip() == "7"
         assert cache_file.exists()
+
+    def test_only_oracle_counts_touch_the_file(self, tmp_path, capsys):
+        cache_file = tmp_path / "counts.jsonl"
+
+        def run_cheap_methods():
+            for method in ("formula", "recurrence", "gentree"):
+                assert run_cli(capsys, "count", "--pair", "122,213", "--n", "4",
+                               "--m", "2", "--method", method,
+                               "--cache", str(cache_file))[0] == 0
+        run_cheap_methods()
+        assert not cache_file.exists()
+        CountCache(cache_file).store(("122", "213"), 3, 2, 7)
+        before = cache_file.read_text()
+        run_cheap_methods()
+        assert cache_file.read_text() == before
 
     def test_corrupt_lines_ignored(self, tmp_path):
         cache_file = tmp_path / "counts.jsonl"
         cache = CountCache(cache_file)
-        cache.store(("122", "213"), 3, 2, "formula", 7)
+        cache.store(("122", "213"), 3, 2, 7)
         cache_file.write_text(cache_file.read_text() + "NOT JSON\n{\"partial\": 1}\n")
         fresh = CountCache(cache_file)
-        assert fresh.lookup(("122", "213"), 3, 2, "formula") == 7
-        assert fresh.lookup(("122", "213"), 9, 2, "formula") is None
-
-    def test_version_mismatch_misses(self, tmp_path, monkeypatch):
-        cache_file = tmp_path / "counts.jsonl"
-        cache = CountCache(cache_file)
-        cache.store(("122", "213"), 3, 2, "formula", 7)
-        monkeypatch.setattr("msetperm.cache.CATALOG_VERSION", "other")
-        assert CountCache(cache_file).lookup(("122", "213"), 3, 2, "formula") is None
+        assert fresh.lookup(("122", "213"), 3, 2) == 7
+        assert fresh.lookup(("122", "213"), 9, 2) is None
 
     def test_audit_catches_poisoned_entry(self, tmp_path, monkeypatch, capsys):
         cache_file = tmp_path / "counts.jsonl"
-        CountCache(cache_file).store(("122", "213"), 3, 2, "formula", 999)
-        monkeypatch.setattr("msetperm.cli.AUDIT_RATE", 1.0)  # audit every hit
-        code, out, err = (main(["count", "--pair", "122,213", "--n", "3",
-                                "--m", "2", "--cache", str(cache_file)]),
+        CountCache(cache_file).store(("122", "213"), 3, 2, 999)
+        monkeypatch.setattr("msetperm.cache.AUDIT_EVERY", 1)  # audit every hit
+        code, out, err = (main(["count", "--pair", "122,213", "--n", "3", "--m", "2",
+                                "--method", "oracle", "--cache", str(cache_file)]),
                           *capsys.readouterr())
         assert code == 0
         assert out.strip() == "7"  # recomputed value wins
         assert "audit mismatch" in err
+        assert CountCache(cache_file).lookup(("122", "213"), 3, 2) == 7
+
+    def test_audit_decision_is_the_same_on_every_run(self, tmp_path, monkeypatch,
+                                                     capsys):
+        import msetperm.cli as cli
+        real, calls = cli.count_avoiders, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "count_avoiders", counted)
+        outcomes = set()
+        # (122,213) at n=4, m=2 falls in the audit bucket; the others do not
+        for pair in ("122,213", "122,312", "112,122"):
+            cache_file = tmp_path / f"{pair}.jsonl"
+            argv = ["count", "--pair", pair, "--n", "4", "--m", "2",
+                    "--method", "oracle", "--cache", str(cache_file)]
+            run_cli(capsys, *argv)  # fills the cache
+            recomputed = []
+            for _ in range(12):
+                calls.clear()
+                assert run_cli(capsys, *argv)[0] == 0
+                recomputed.append(len(calls))
+            assert len(set(recomputed)) == 1, (pair, recomputed)
+            outcomes.add(recomputed[0])
+        assert outcomes == {0, 1}
 
 
 class TestBijectionCommand:
@@ -213,11 +269,27 @@ class TestOtherCommands:
         assert "imported-rows" in out
         assert "DISAGREES" in out  # the quoted rows that fail the oracle
 
+    def test_verify_report_rows_are_records(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--nmax", "2",
+                               "--mmax", "2", "--report", "--records")
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        rows = [r for r in lines if "table_pair" in r]
+        assert rows and all(set(r) == {"table_pair", "n", "m", "trust", "formula",
+                                       "oracle", "agree"} for r in rows)
+        assert any(r["agree"] is False for r in rows)
+        assert all(r["agree"] is None for r in rows if r["formula"] is None)
+
 
 def test_console_entry_point_runs():
+    # pytest's pythonpath setting reaches only its own sys.path, so hand the
+    # subprocess the directory this package was imported from.
+    src = str(Path(msetperm.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "msetperm.cli", "count", "--pair", "112,122",
          "--n", "4", "--m", "3", "--no-cache"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
