@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import bijections as bij
 from .cache import CountCache
-from .classify import class_table, classify_all_length3, empirical_wilf_classes
+from .classify import (
+    Pair,
+    canonical_pair,
+    class_table,
+    classify_all_length3,
+    empirical_wilf_classes,
+)
 from .core import MultisetPermutation, PatternSet
 from .enumeration import count_avoiders
 from .errors import (
@@ -57,15 +64,17 @@ def _emit(records: list[dict], columns: list[str], args) -> None:
 
 # -- count ---------------------------------------------------------------------
 
+@functools.cache
+def _rule_names() -> dict[Pair, str]:
+    """Built-in succession rule names by the canonical form of their pair."""
+    return {canonical_pair(pair): name for name, pair in RULE_PATTERN_PAIRS.items()}
+
+
 def _rule_for_pair(pair: tuple[str, str], m: int):
-    from .classify import canonical_pair
-    want = canonical_pair(pair)
-    for name, rule_pair in RULE_PATTERN_PAIRS.items():
-        if canonical_pair(rule_pair) == want:
-            if name == "112-122@m2" and m != 2:
-                return None
-            return name
-    return None
+    name = _rule_names().get(canonical_pair(pair))
+    if name == "112-122@m2" and m != 2:
+        return None
+    return name
 
 
 def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
@@ -287,7 +296,10 @@ def cmd_growth(args) -> int:
 
 # -- wiring -------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after:
+    parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="msetperm",
         description="Exact counting of pattern-avoiding permutations on "

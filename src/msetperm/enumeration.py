@@ -4,10 +4,13 @@ One walk serves counting, listing, generation (no patterns) and word
 counting (each letter's capacity raised to the word length).  It visits the
 prefix tree depth first and never extends a prefix that already contains a
 forbidden pattern.  This is sound because containment is monotone under
-appending letters.  For the canonical patterns of length <= 3 the "would
-this letter complete a pattern?" test is answered in O(1) from
-incrementally maintained bitmasks and thresholds; anything longer falls
-back to a direct containment check.
+appending letters.  When every letter must be placed (counting, listing and
+generating permutations of a multiset), it also drops a prefix as soon as
+some letter with copies left would complete a pattern: that letter still
+has to come, so no completion avoids the patterns.  For the canonical
+patterns of length <= 3 the "which letters would complete a pattern?" test
+is one mask computed in O(1) from incrementally maintained bitmasks and
+thresholds; anything longer falls back to a direct containment check.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -53,11 +56,11 @@ def _check_budget(length: int, budget: int, override: bool) -> None:
 #   m122              letters preceded by some smaller letter
 #   m212              letters followed by some smaller letter
 #
-# Appending c to the prefix completes a pattern exactly when the
-# corresponding predicate below fires, so pruning on these tests keeps every
+# Appending c to the prefix completes a pattern exactly when c is in the
+# corresponding danger mask below, so pruning on these masks keeps every
 # visited prefix avoidance-clean.
 
-_State = tuple  # 16 ints, see _INITIAL
+_State = tuple  # 16 ints, see _initial_state
 
 
 def _initial_state(n: int) -> _State:
@@ -107,79 +110,98 @@ def _advance(state: _State, t: int, count_after: int) -> _State:
             t112, t221, m132, m312, m121, m211, m122, m212)
 
 
-# Danger predicates keyed by canonical pattern letters.  Each receives the
-# state tuple and the candidate letter and answers "would appending complete
-# an occurrence?".
-_DANGER: dict[tuple[int, ...], Callable[[_State, int], bool]] = {
-    (1, 2, 3): lambda s, c: c > s[4],
-    (2, 1, 3): lambda s, c: c > s[5],
-    (2, 3, 1): lambda s, c: c < s[6],
-    (3, 2, 1): lambda s, c: c < s[7],
-    (1, 3, 2): lambda s, c: bool(s[10] >> c & 1),
-    (3, 1, 2): lambda s, c: bool(s[11] >> c & 1),
-    (1, 1, 2): lambda s, c: c > s[8],
-    (2, 2, 1): lambda s, c: c < s[9],
-    (1, 1, 1): lambda s, c: bool(s[1] >> c & 1),
-    (1, 2, 1): lambda s, c: bool(s[12] >> c & 1),
-    (2, 1, 1): lambda s, c: bool(s[13] >> c & 1),
-    (1, 2, 2): lambda s, c: bool(s[14] >> c & 1),
-    (2, 1, 2): lambda s, c: bool(s[15] >> c & 1),
-    (1, 2): lambda s, c: s[2] != 0 and c > s[2],
-    (2, 1): lambda s, c: s[3] != 0 and c < s[3],
-    (1, 1): lambda s, c: bool(s[0] >> c & 1),
-    (1,): lambda s, c: True,
+# Danger masks keyed by canonical pattern letters.  Each maps the state
+# tuple to the set of letters (bit v for the letter v) whose appending would
+# complete an occurrence.  -(2 << t) holds every letter above t, and
+# (1 << t) - 1 every letter below it.
+_DANGER: dict[tuple[int, ...], Callable[[_State], int]] = {
+    (1, 2, 3): lambda s: -(2 << s[4]),
+    (2, 1, 3): lambda s: -(2 << s[5]),
+    (2, 3, 1): lambda s: (1 << s[6]) - 1,
+    (3, 2, 1): lambda s: (1 << s[7]) - 1,
+    (1, 3, 2): lambda s: s[10],
+    (3, 1, 2): lambda s: s[11],
+    (1, 1, 2): lambda s: -(2 << s[8]),
+    (2, 2, 1): lambda s: (1 << s[9]) - 1,
+    (1, 1, 1): lambda s: s[1],
+    (1, 2, 1): lambda s: s[12],
+    (2, 1, 1): lambda s: s[13],
+    (1, 2, 2): lambda s: s[14],
+    (2, 1, 2): lambda s: s[15],
+    (1, 2): lambda s: -(2 << s[2]) if s[2] else 0,
+    (2, 1): lambda s: (1 << s[3]) - 1,
+    (1, 1): lambda s: s[0],
+    (1,): lambda s: -1,
 }
 
 
 def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
          visit: Callable[[list[int]], bool] | None = None) -> list[int]:
-    """The package's one prefix search.  counts[d] is the number of
-    avoidance-clean prefixes of length d that use each letter c at most
-    capacity[c] times (capacity is 1-indexed by letter).
+    """The package's one prefix search over prefixes that use each letter c
+    at most capacity[c] times (capacity is 1-indexed by letter).  counts[d]
+    is the number of avoidance-clean prefixes of length d that it reached.
 
     A prefix that contains a pattern is never extended, and the last level
-    is only counted, never advanced.  visit(prefix) sees each full-length
-    prefix in lexicographic order (copy it to keep it); a False return
-    stops the search, leaving the counts partial.
+    is only counted, never advanced.  When the capacities add up to depth,
+    every full-length prefix places every letter, so a prefix at which some
+    letter with copies left would complete a pattern is dead: appending it
+    later still completes the pattern, because the prefix plus that letter
+    is a subsequence of every completion.  Such a prefix is not expanded,
+    its children are not counted, and counts[d] for d < depth counts only
+    the clean prefixes of length d whose proper prefixes are all live, so
+    callers read counts[depth] alone.  Otherwise (word counting) counts[d]
+    is every clean prefix of length d.
+
+    visit(prefix) sees each full-length prefix in lexicographic order (copy
+    it to keep it); a False return stops the search, leaving the counts
+    partial.
     """
     fast = [_DANGER[p.letters] for p in patterns if p.letters in _DANGER]
     slow = [p for p in patterns if p.letters not in _DANGER]
+    dead_if_blocked = sum(capacity) == depth
     counts = [1] + [0] * depth
     remaining = list(capacity)
     prefix: list[int] = []
 
-    def rec(state: _State, d: int) -> bool:
-        """Walk below the current prefix; False once visit asks to stop."""
+    def rec(state: _State, d: int, letters_left: int) -> bool:
+        """Walk below the current prefix, whose unplaced letters are the
+        bits of letters_left; False once visit asks to stop."""
+        blocked = 0
+        for danger in fast:
+            blocked |= danger(state)
+        free = letters_left & ~blocked
+        if slow:
+            for c in range(1, n + 1):
+                if free >> c & 1 and any(contains(prefix + [c], p) for p in slow):
+                    free ^= 1 << c
+        if dead_if_blocked and free != letters_left:
+            return True
+        counts[d + 1] += free.bit_count()
         last = d + 1 == depth
-        for c in range(1, n + 1):
-            if not remaining[c]:
-                continue
-            for test in fast:
-                if test(state, c):
-                    break
-            else:  # no O(1) test fired
-                if slow and any(contains(prefix + [c], p) for p in slow):
-                    continue
-                counts[d + 1] += 1
-                if last and visit is None:
-                    continue
-                prefix.append(c)
-                if last:
-                    keep = visit(prefix)
-                else:
-                    remaining[c] -= 1
-                    keep = rec(_advance(state, c, capacity[c] - remaining[c]), d + 1)
-                    remaining[c] += 1
-                prefix.pop()
-                if not keep:
-                    return False
+        if last and visit is None:
+            return True
+        while free:
+            low = free & -free
+            free ^= low
+            c = low.bit_length() - 1
+            prefix.append(c)
+            if last:
+                keep = visit(prefix)
+            else:
+                remaining[c] -= 1
+                keep = rec(_advance(state, c, capacity[c] - remaining[c]), d + 1,
+                           letters_left if remaining[c] else letters_left ^ low)
+                remaining[c] += 1
+            prefix.pop()
+            if not keep:
+                return False
         return True
 
     if depth == 0:
         if visit is not None:
             visit(prefix)
     else:
-        rec(_initial_state(n), 0)
+        rec(_initial_state(n), 0, sum(1 << c for c in range(1, n + 1) if capacity[c]))
     return counts
 
 

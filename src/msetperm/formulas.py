@@ -27,7 +27,7 @@ from .errors import ArithmeticBug, OutOfDomain, Unsupported
 
 BigCount = int
 
-#: Bump when registry contents change; cached counts are keyed on it.
+#: Bump when registry contents change; `catalog()` reports it with each row.
 CATALOG_VERSION = "1"
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import msetperm
 from msetperm.cache import CountCache
-from msetperm.cli import main
+from msetperm.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -261,6 +261,22 @@ class TestOtherCommands:
         assert code == 0
         assert all(json.loads(line).keys() == {"pair", "trust"}
                    for line in out.splitlines())
+
+    def test_consecutive_calls_do_not_share_options(self, capsys):
+        # one parser serves every call in the process; each call parses afresh
+        assert build_parser() is build_parser()
+        count = ("count", "--pair", "112,122", "--n", "3", "--m", "2", "--no-cache")
+        code, out, _ = run_cli(capsys, *count, "--records")
+        assert code == 0 and json.loads(out)["count"] == 5
+        code, out, _ = run_cli(capsys, *count)
+        assert code == 0 and out == "5\n"
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--nmax", "0")
+        assert code == 0
+        assert all(line.endswith(": 2 cells") for line in out.splitlines()), out
+        code, out, _ = run_cli(capsys, "verify", "--suite", "table1")
+        assert code == 0
+        # the default grid, n <= 4 at m = 2 and 3
+        assert all(line.endswith(": 10 cells") for line in out.splitlines()), out
 
     def test_verify_table1_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table1",

@@ -9,10 +9,11 @@ from msetperm.enumeration import (
     count_avoiders,
     generate_all,
     list_avoiders,
+    walk,
 )
 from msetperm.errors import BudgetExceeded
 
-from reference import all_multiset_perms, naive_count, naive_list
+from reference import all_multiset_perms, naive_avoids, naive_count, naive_list
 
 
 def test_generate_all_small():
@@ -100,7 +101,7 @@ def test_pruned_search_matches_naive_filtering_single(n, m):
         assert count_avoiders(n, m, ps) == naive, f"pattern {ps}"
 
 
-@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (2, 4), (1, 6)])
 def test_pruned_search_matches_naive_filtering_pairs(n, m):
     for ps in _pair_patterns():
         naive = naive_count(n, m, [p.letters for p in ps])
@@ -158,3 +159,22 @@ def test_walk_matches_naive_reference(ps, cell, limit):
 def test_generate_all_matches_naive_generator_on_irregular_multisets(mu):
     out = [s.letters for s in generate_all(len(mu), mu)]
     assert out == all_multiset_perms(mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4)
+       .filter(lambda mu: len(set(mu)) > 1 and sum(mu) <= 7),
+       st.lists(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+                min_size=1, max_size=2).map(lambda specs: PatternSet.of(*specs)))
+def test_walk_drops_only_dead_prefixes_on_irregular_multisets(mu, ps):
+    # every letter must be placed, so the walk drops a prefix as soon as some
+    # letter with copies left would complete a pattern
+    naive = [s for s in all_multiset_perms(mu)
+             if naive_avoids(s, [p.letters for p in ps])]
+    capacity, depth = (0,) + tuple(mu), sum(mu)
+    seen = []
+    counts = walk(len(mu), capacity, depth, ps,
+                  lambda prefix: seen.append(tuple(prefix)) or True)
+    assert seen == naive
+    assert counts[depth] == len(naive)
+    assert walk(len(mu), capacity, depth, ps)[depth] == len(naive)

@@ -49,6 +49,11 @@ class TestWordProbe:
         with pytest.raises(BudgetExceeded):
             count_words_avoiding(3, 25, PatternSet.of("12"))
 
+    def test_words_need_not_use_every_letter(self):
+        # 11 and 22 are forbidden, yet 12 and 21 are words of length 2: a
+        # prefix is not dead because some letter can no longer follow it
+        assert word_counts_by_length(2, 2, PatternSet.of("11")) == [1, 2, 2]
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.integers(min_value=1, max_value=4),
                              min_size=1, max_size=4), min_size=1, max_size=3),
