@@ -1,7 +1,9 @@
 """Command-line surface: counting, verification, bijections, tables.
 
-Exit codes: 0 success, 2 unsupported pair/method, 3 outside a formula's
-validity domain, 4 enumeration budget exceeded, 5 verification failure.
+Exit codes: 0 success, 2 unsupported pair/method or a refused option (a
+size option out of range, such as --n -1 or --m 0, is refused by argparse
+with its usage and a one-line error), 3 outside a formula's validity
+domain, 4 enumeration budget exceeded, 5 verification failure.
 Output is a human table by default; --csv, --records (JSON lines), and
 --bfile (sequence lines "n value" at fixed m) serve scripts.
 """
@@ -296,6 +298,19 @@ def cmd_growth(args) -> int:
 
 # -- wiring -------------------------------------------------------------------------
 
+def _at_least(least: int):
+    """An argparse type for a size option: an int no smaller than least."""
+    def size(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return size
+
+
+_nonnegative, _positive = _at_least(0), _at_least(1)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and reused after:
@@ -312,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count avoiders of a pattern pair")
     p.add_argument("--pair", required=True, help="two patterns, e.g. 122,312")
-    p.add_argument("--n", type=int, help="alphabet size")
-    p.add_argument("--m", type=int, required=True, help="common multiplicity")
+    p.add_argument("--n", type=_nonnegative, help="alphabet size")
+    p.add_argument("--m", type=_positive, required=True, help="common multiplicity")
     p.add_argument("--method", default="formula",
                    choices=["oracle", "formula", "recurrence", "gentree", "all"])
     p.add_argument("--bfile", action="store_true",
                    help="emit 'n value' sequence lines for n = 1..nmax")
-    p.add_argument("--nmax", type=int, help="largest n for --bfile")
+    p.add_argument("--nmax", type=_nonnegative, help="largest n for --bfile")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--cache", help="oracle count cache file (default: $MSETPERM_CACHE)")
     output_flags(p)
@@ -327,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a cross-checking suite")
     p.add_argument("--suite", required=True,
                    choices=["table1", "gentree", "bijections", "growth", "classify"])
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--mmax", type=int)
+    p.add_argument("--nmax", type=_nonnegative)
+    p.add_argument("--mmax", type=_nonnegative)
     p.add_argument("--report", action="store_true",
                    help="also print the per-cell imported-row report")
     p.add_argument("--records", action="store_true", help="JSON-lines output")
@@ -339,20 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["dyck", "labels", "path", "simion"])
     p.add_argument("--direction", required=True, choices=["fwd", "inv"])
     p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=_positive)
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("classify", help="print the symmetry classes")
     p.add_argument("--empirical", action="store_true",
                    help="also group classes by counting vectors")
-    p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--mmax", type=int, default=3)
+    p.add_argument("--nmax", type=_nonnegative, default=4)
+    p.add_argument("--mmax", type=_nonnegative, default=3)
     output_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("table", help="evaluate the formula catalog on a grid")
-    p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--mmax", type=int, default=3)
+    p.add_argument("--nmax", type=_nonnegative, default=4)
+    p.add_argument("--mmax", type=_nonnegative, default=3)
     p.add_argument("--catalog", action="store_true",
                    help="print catalog metadata instead of values")
     output_flags(p)
@@ -360,16 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rule", help="print a succession rule's grammar")
     p.add_argument("--name", required=True, choices=sorted(RULE_PATTERN_PAIRS))
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--heights", type=int,
+    p.add_argument("--m", type=_positive, default=2)
+    p.add_argument("--heights", type=_nonnegative,
                    help="also print node counts up to this height")
     p.set_defaults(func=cmd_rule)
 
     p = sub.add_parser("growth", help="growth-ratio table for a pattern set")
     p.add_argument("--pattern", required=True,
                    help="comma-separated patterns, e.g. 212 or 122,123")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=5)
+    p.add_argument("--m", type=_positive, required=True)
+    p.add_argument("--nmax", type=_nonnegative, default=5)
     output_flags(p)
     p.set_defaults(func=cmd_growth)
 

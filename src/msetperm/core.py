@@ -238,18 +238,6 @@ class PatternSet:
         return "{" + ",".join(str(p) for p in self.patterns) + "}"
 
 
-def _matches(sub: Sequence[int], pat: Sequence[int]) -> bool:
-    """Order-isomorphism test including equalities."""
-    k = len(pat)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if (sub[a] < sub[b]) != (pat[a] < pat[b]):
-                return False
-            if (sub[a] > sub[b]) != (pat[a] > pat[b]):
-                return False
-    return True
-
-
 def _occurrence_len3(letters: Letters, pat: Letters) -> tuple[int, int, int] | None:
     # Direct triple scan; all catalogued patterns have length 3 and host
     # lengths stay at desk scale.

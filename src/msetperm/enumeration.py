@@ -7,10 +7,11 @@ forbidden pattern.  This is sound because containment is monotone under
 appending letters.  When every letter must be placed (counting, listing and
 generating permutations of a multiset), it also drops a prefix as soon as
 some letter with copies left would complete a pattern: that letter still
-has to come, so no completion avoids the patterns.  For the canonical
-patterns of length <= 3 the "which letters would complete a pattern?" test
-is one mask computed in O(1) from incrementally maintained bitmasks and
-thresholds; anything longer falls back to a direct containment check.
+has to come, so no completion avoids the patterns.  The walk carries two
+masks: the letters seen and the letters whose appending would complete a
+pattern.  For the canonical patterns of length 2 and 3 the second mask grows
+by an O(1) term at each appended letter; the pattern 1 and anything of
+length 4 or more fall back to a direct containment check.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -37,101 +38,37 @@ def _check_budget(length: int, budget: int, override: bool) -> None:
         )
 
 
-# -- incremental avoidance state ----------------------------------------------
+# -- the two masks of the walk ------------------------------------------------
 #
-# State components, all over letters 1..n (bit v of a mask stands for the
-# letter v):
-#   present / twice   letters seen at least once / twice
-#   minp / maxp       smallest / largest letter seen (0 while empty)
-#   t123              least top of an ascent pair seen so far
-#   t213              least x that occurred before some smaller letter
-#   t231              greatest x that occurred before some larger letter
-#   t321              greatest letter that occurred after some larger one
-#   t112              least letter seen twice
-#   t221              greatest letter seen twice
-#   m132              letters lying strictly inside some ascent pair
-#   m312              letters lying strictly inside some descent pair
-#   m121              letters followed (so far) by some larger letter
-#   m211              letters preceded by some larger letter
-#   m122              letters preceded by some smaller letter
-#   m212              letters followed by some smaller letter
-#
-# Appending c to the prefix completes a pattern exactly when c is in the
-# corresponding danger mask below, so pruning on these masks keeps every
-# visited prefix avoidance-clean.
+# The walk carries two masks over letters 1..n (bit v stands for the letter
+# v): present, the letters seen, and blocked, the letters whose appending
+# would complete a pattern.  Blocked only grows: a new occurrence that ends
+# in the letter c and uses the letter just appended has that letter second
+# to last, so what the append adds to the blocked set depends only on that
+# letter (bit), the letters seen below and above it (lower, upper) and
+# whether this is its second copy (again).  Each entry below maps those to
+# the letters added for one canonical pattern of length 2 or 3.  -(bit << 1)
+# holds every letter above the appended one, and bit - 1 every letter below.
 
-_State = tuple  # 16 ints, see _initial_state
-
-
-def _initial_state(n: int) -> _State:
-    inf = n + 1
-    return (0, 0, 0, 0, inf, inf, 0, 0, inf, 0, 0, 0, 0, 0, 0, 0)
-
-
-def _advance(state: _State, t: int, count_after: int) -> _State:
-    (present, twice, minp, maxp, t123, t213, t231, t321,
-     t112, t221, m132, m312, m121, m211, m122, m212) = state
-    bit = 1 << t
-    below = bit - 1        # letters < t
-    lower = present & below
-    upper = present & ~(below | bit)
-    if lower:
-        # some smaller letter precedes t: ascent pairs ending at t
-        if t < t123:
-            t123 = t
-        m122 |= bit
-        m132 |= below & ~((1 << (minp + 1)) - 1)  # strictly between minp and t
-        m121 |= lower
-        hi = lower.bit_length() - 1
-        if hi > t231:
-            t231 = hi
-    if upper:
-        # some larger letter precedes t: descent pairs ending at t
-        m212 |= upper
-        m211 |= bit
-        if t > t321:
-            t321 = t
-        lo = (upper & -upper).bit_length() - 1
-        if lo < t213:
-            t213 = lo
-        m312 |= ((1 << maxp) - 1) & ~((1 << (t + 1)) - 1)  # strictly between t and maxp
-    if count_after == 2:
-        twice |= bit
-        if t < t112:
-            t112 = t
-        if t > t221:
-            t221 = t
-    present |= bit
-    if minp == 0 or t < minp:
-        minp = t
-    if t > maxp:
-        maxp = t
-    return (present, twice, minp, maxp, t123, t213, t231, t321,
-            t112, t221, m132, m312, m121, m211, m122, m212)
-
-
-# Danger masks keyed by canonical pattern letters.  Each maps the state
-# tuple to the set of letters (bit v for the letter v) whose appending would
-# complete an occurrence.  -(2 << t) holds every letter above t, and
-# (1 << t) - 1 every letter below it.
-_DANGER: dict[tuple[int, ...], Callable[[_State], int]] = {
-    (1, 2, 3): lambda s: -(2 << s[4]),
-    (2, 1, 3): lambda s: -(2 << s[5]),
-    (2, 3, 1): lambda s: (1 << s[6]) - 1,
-    (3, 2, 1): lambda s: (1 << s[7]) - 1,
-    (1, 3, 2): lambda s: s[10],
-    (3, 1, 2): lambda s: s[11],
-    (1, 1, 2): lambda s: -(2 << s[8]),
-    (2, 2, 1): lambda s: (1 << s[9]) - 1,
-    (1, 1, 1): lambda s: s[1],
-    (1, 2, 1): lambda s: s[12],
-    (2, 1, 1): lambda s: s[13],
-    (1, 2, 2): lambda s: s[14],
-    (2, 1, 2): lambda s: s[15],
-    (1, 2): lambda s: -(2 << s[2]) if s[2] else 0,
-    (2, 1): lambda s: (1 << s[3]) - 1,
-    (1, 1): lambda s: s[0],
-    (1,): lambda s: -1,
+_BLOCKS: dict[tuple[int, ...], Callable[[int, int, int, bool], int]] = {
+    (1, 2, 3): lambda bit, lower, upper, again: -(bit << 1) if lower else 0,
+    (2, 1, 3): lambda bit, lower, upper, again: -((upper & -upper) << 1),
+    (2, 3, 1): lambda bit, lower, upper, again:
+        lower and (1 << lower.bit_length() - 1) - 1,
+    (3, 2, 1): lambda bit, lower, upper, again: bit - 1 if upper else 0,
+    (1, 3, 2): lambda bit, lower, upper, again: (bit - 1) & -((lower & -lower) << 1),
+    (3, 1, 2): lambda bit, lower, upper, again:
+        upper and ((1 << upper.bit_length() - 1) - 1) & -(bit << 1),
+    (1, 1, 2): lambda bit, lower, upper, again: -(bit << 1) if again else 0,
+    (2, 2, 1): lambda bit, lower, upper, again: bit - 1 if again else 0,
+    (1, 1, 1): lambda bit, lower, upper, again: bit if again else 0,
+    (1, 2, 1): lambda bit, lower, upper, again: lower,
+    (2, 1, 1): lambda bit, lower, upper, again: bit if upper else 0,
+    (1, 2, 2): lambda bit, lower, upper, again: bit if lower else 0,
+    (2, 1, 2): lambda bit, lower, upper, again: upper,
+    (1, 2): lambda bit, lower, upper, again: -(bit << 1),
+    (2, 1): lambda bit, lower, upper, again: bit - 1,
+    (1, 1): lambda bit, lower, upper, again: bit,
 }
 
 
@@ -152,23 +89,26 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     callers read counts[depth] alone.  Otherwise (word counting) counts[d]
     is every clean prefix of length d.
 
+    Each node's children are the letters with copies left that are not in
+    its blocked mask, the union of the _BLOCKS terms of its letters; a
+    pattern without an entry (1, or length 4 or more) is tested directly on
+    the prefix plus each candidate letter.
+
     visit(prefix) sees each full-length prefix in lexicographic order (copy
     it to keep it); a False return stops the search, leaving the counts
     partial.
     """
-    fast = [_DANGER[p.letters] for p in patterns if p.letters in _DANGER]
-    slow = [p for p in patterns if p.letters not in _DANGER]
+    fast = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
+    slow = [p for p in patterns if p.letters not in _BLOCKS]
     dead_if_blocked = sum(capacity) == depth
     counts = [1] + [0] * depth
     remaining = list(capacity)
     prefix: list[int] = []
 
-    def rec(state: _State, d: int, letters_left: int) -> bool:
-        """Walk below the current prefix, whose unplaced letters are the
-        bits of letters_left; False once visit asks to stop."""
-        blocked = 0
-        for danger in fast:
-            blocked |= danger(state)
+    def rec(present: int, blocked: int, d: int, letters_left: int) -> bool:
+        """Walk below the current prefix, whose letters are the bits of
+        present and whose unplaced letters are the bits of letters_left;
+        False once visit asks to stop."""
         free = letters_left & ~blocked
         if slow:
             for c in range(1, n + 1):
@@ -189,7 +129,12 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
                 keep = visit(prefix)
             else:
                 remaining[c] -= 1
-                keep = rec(_advance(state, c, capacity[c] - remaining[c]), d + 1,
+                lower, upper = present & (low - 1), present & -(low << 1)
+                again = capacity[c] - remaining[c] == 2
+                child = blocked
+                for block in fast:
+                    child |= block(low, lower, upper, again)
+                keep = rec(present | low, child, d + 1,
                            letters_left if remaining[c] else letters_left ^ low)
                 remaining[c] += 1
             prefix.pop()
@@ -201,7 +146,7 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
         if visit is not None:
             visit(prefix)
     else:
-        rec(_initial_state(n), 0, sum(1 << c for c in range(1, n + 1) if capacity[c]))
+        rec(0, 0, 0, sum(1 << c for c in range(1, n + 1) if capacity[c]))
     return counts
 
 
@@ -253,7 +198,9 @@ def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence,
     patterns = _as_pattern_set(patterns)
     if n < 0 or (n > 0 and m < 1):
         raise ValueError("need n >= 0 and m >= 1")
-    if limit is not None and limit == 0:
+    if limit is not None and limit < 0:
+        raise ValueError("need limit >= 0")
+    if limit == 0:
         return []
     return _list(n, (m,) * n, patterns, limit, override_budget)
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import msetperm
 from msetperm.cache import CountCache
 from msetperm.cli import build_parser, main
@@ -70,6 +72,21 @@ class TestCount:
                                  "--bfile", "--nmax", "3", "--method", "all",
                                  "--no-cache")
         assert code == 2 and out == "" and "unsupported" in err
+
+    def test_bad_sizes_are_refused(self, capsys):
+        for argv, option in (
+                (("count", "--pair", "123,132", "--n", "-1", "--m", "2",
+                  "--method", "oracle", "--no-cache"), "--n: must be >= 0"),
+                (("count", "--pair", "123,132", "--n", "3", "--m", "0",
+                  "--method", "oracle", "--no-cache"), "--m: must be >= 1"),
+                (("growth", "--pattern", "12", "--m", "0", "--nmax", "2"),
+                 "--m: must be >= 1")):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == "", argv
+            assert option in captured.err.splitlines()[-1]
+            assert "Traceback" not in captured.err
 
 
 class TestCache:

@@ -10,6 +10,7 @@ from msetperm.enumeration import (
     generate_all,
     list_avoiders,
     walk,
+    word_counts_by_length,
 )
 from msetperm.errors import BudgetExceeded
 
@@ -61,6 +62,8 @@ def test_list_respects_limit_and_lex_order():
     assert [s.letters for s in head] == [s.letters for s in full[:4]]
     letters = [s.letters for s in full]
     assert letters == sorted(letters)
+    with pytest.raises(ValueError):
+        list_avoiders(3, 2, PatternSet.of("212"), limit=-1)
 
 
 def test_count_equals_list_length():
@@ -120,6 +123,9 @@ def test_long_pattern_falls_back_to_generic_check():
     assert count_avoiders(4, 1, ps) == 23  # 4! - 1 (only 1234 contains it)
     naive = naive_count(3, 2, [(1, 2, 3, 4)])
     assert count_avoiders(3, 2, ps) == naive
+    # the pattern 1 has no _BLOCKS entry either: every nonempty word contains it
+    assert count_avoiders(2, 2, PatternSet.of("1")) == 0
+    assert word_counts_by_length(3, 3, PatternSet.of("1")) == [1, 0, 0, 0]
 
 
 def test_counts_invariant_under_pattern_symmetry():
@@ -131,8 +137,9 @@ def test_counts_invariant_under_pattern_symmetry():
 
 # -- differential tests of the walk against the naive reference ----------------
 
-#: Pattern sets of one to three patterns of length 1 to 4; length-4 patterns
-#: take the direct containment check instead of the O(1) danger tests.
+#: Pattern sets of one to three patterns of length 1 to 4; the pattern 1 and
+#: length-4 patterns take the direct containment check instead of the
+#: blocked-letter mask.
 pattern_sets = st.lists(
     st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
     min_size=1, max_size=3,
