@@ -31,6 +31,7 @@ from .formulas import (
     closed_count,
     explicit_count,
     generalized_catalan,
+    proved_count,
     recurrence_count,
     rothe,
     stirling_count,

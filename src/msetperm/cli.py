@@ -1,6 +1,7 @@
 """Command-line surface: counting, verification, bijections, tables.
 
-Exit codes: 0 success, 2 unsupported pair/method or a refused option (a
+Exit codes: 0 success, 2 unsupported pair/method (including a formula row
+that is not proved here under --method formula) or a refused option (a
 size option out of range, such as --n -1 or --m 0, is refused by argparse
 with its usage and a one-line error), 3 outside a formula's validity
 domain, 4 enumeration budget exceeded, 5 verification failure.
@@ -34,7 +35,7 @@ from .errors import (
     OutOfDomain,
     Unsupported,
 )
-from .formulas import REGISTRY, catalog, closed_count, recurrence_count
+from .formulas import REGISTRY, catalog, proved_count, recurrence_count
 from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height
 from .growth import growth_csv, growth_table
 from .verify import CheckResult, imported_agreement_report, run_suite
@@ -72,13 +73,6 @@ def _rule_names() -> dict[Pair, str]:
     return {canonical_pair(pair): name for name, pair in RULE_PATTERN_PAIRS.items()}
 
 
-def _rule_for_pair(pair: tuple[str, str], m: int):
-    name = _rule_names().get(canonical_pair(pair))
-    if name == "112-122@m2" and m != 2:
-        return None
-    return name
-
-
 def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
                cache: CountCache | None) -> int:
     if method == "oracle":
@@ -86,13 +80,14 @@ def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
             return count_avoiders(n, m, PatternSet.of(*pair))
         return compute() if cache is None else cache.count(pair, n, m, compute)
     if method == "formula":
-        return closed_count(pair, n, m)
+        return proved_count(pair, n, m)
     if method == "recurrence":
         return recurrence_count(pair, n, m) if n >= 1 else 1
     if method == "gentree":
-        name = _rule_for_pair(pair, m)
+        name = _rule_names().get(canonical_pair(pair))
         if name is None:
-            raise Unsupported(f"no built-in succession rule covers {pair} at m={m}")
+            raise Unsupported(f"no built-in succession rule covers {pair}")
+        # builtin_rule refuses an m outside the rule's domain
         return count_at_height(builtin_rule(name, m), n)
     raise Unsupported(f"unknown method {method!r}")
 
@@ -139,7 +134,10 @@ def cmd_count(args) -> int:
     if len(distinct) > 1:
         print("cross-check: MISMATCH", file=sys.stderr)
         return 5
-    print(f"cross-check: OK ({len(values)} methods agree)")
+    if len(values) == 1:
+        print(f"cross-check: only {next(iter(values))} answered; nothing to compare")
+    else:
+        print(f"cross-check: OK ({len(values)} methods agree)")
     return 0
 
 

@@ -26,7 +26,7 @@ class BudgetExceeded(MsetPermError):
 
 
 class Unsupported(MsetPermError):
-    """No catalogued formula serves the requested pattern pair."""
+    """No catalogued formula, rule or method serves the request."""
 
 
 class OutOfDomain(MsetPermError):
@@ -37,8 +37,8 @@ class ArithmeticBug(MsetPermError):
     """Exact arithmetic produced an impossible value; indicates an internal fault."""
 
 
-class UnknownRule(MsetPermError):
-    """Requested succession rule name is not built in."""
+class UnknownRule(Unsupported):
+    """Requested succession rule is not built in, or not for the requested m."""
 
 
 class ExplosionGuard(MsetPermError):

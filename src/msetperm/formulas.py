@@ -370,11 +370,6 @@ REGISTRY: Mapping[Pair, FormulaEntry] = {e.pair: e for e in _ENTRIES}
 assert len(REGISTRY) == len(_ENTRIES), "registry keys must be distinct"
 
 
-def lookup(pair) -> FormulaEntry | None:
-    """Registry entry for a pair, matching up to symmetry."""
-    return REGISTRY.get(canonical_pair(pair))
-
-
 # -- ordinary permutations (m = 1) ----------------------------------------------
 
 _M1_POWERS = {canonical_pair((Pattern.parse(a), Pattern.parse(b)))
@@ -410,14 +405,8 @@ def _m1_count(patterns: tuple[Pattern, ...], n: int) -> BigCount:
 
 # -- dispatcher -------------------------------------------------------------------
 
-def closed_count(pair, n: int, m: int) -> BigCount:
-    """Evaluate the catalogued formula for an unordered pattern pair.
-
-    The pair is reduced to its symmetry representative first, so any member
-    of a catalogued class is served.  n = 0 always counts 1 (the empty
-    permutation avoids everything); m = 1 is answered from the ordinary-
-    permutation catalog.
-    """
+def _serve(pair, n: int, m: int, proved_only: bool) -> BigCount:
+    # canonical_pair costs more than most evaluators: call it once per count
     if n < 0 or m < 1:
         raise OutOfDomain("need n >= 0 and m >= 1")
     rep = canonical_pair(pair)
@@ -429,14 +418,36 @@ def closed_count(pair, n: int, m: int) -> BigCount:
     if entry is None:
         raise Unsupported(
             f"no catalogued formula for the class of ({rep[0]},{rep[1]})")
+    name = f"({entry.table_pair[0]},{entry.table_pair[1]})"
     if entry.evaluator is None:
-        raise Unsupported(
-            f"({entry.table_pair[0]},{entry.table_pair[1]}): {entry.note}")
+        raise Unsupported(f"{name}: {entry.note}")
     if not entry.validity(n, m):
         raise OutOfDomain(
-            f"({entry.table_pair[0]},{entry.table_pair[1]}) is catalogued for "
-            f"{entry.validity_text}, not (n={n}, m={m})")
+            f"{name} is catalogued for {entry.validity_text}, not (n={n}, m={m})")
+    if proved_only and entry.trust != "proved-here":
+        raise Unsupported(
+            f"{name} is {entry.trust}, not proved here; 'msetperm table' lists "
+            f"its quoted values with their trust, and --method oracle counts it")
     return entry.evaluator(n, m)
+
+
+def closed_count(pair, n: int, m: int) -> BigCount:
+    """Evaluate the catalogued formula for an unordered pattern pair, whatever
+    the row's trust: the evaluator of quoted formulas.
+
+    The pair is reduced to its symmetry representative first, so any member
+    of a catalogued class is served.  n = 0 always counts 1 (the empty
+    permutation avoids everything); m = 1 is answered from the ordinary-
+    permutation catalog.
+    """
+    return _serve(pair, n, m, proved_only=False)
+
+
+def proved_count(pair, n: int, m: int) -> BigCount:
+    """The one trust gate: closed_count for n = 0, the m = 1 catalog and
+    proved-here rows.  Any other servable row raises Unsupported inside its
+    domain, after the same servability and domain checks as closed_count."""
+    return _serve(pair, n, m, proved_only=True)
 
 
 def catalog() -> list[dict]:

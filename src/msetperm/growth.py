@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .core import Pattern, PatternSet
 from .enumeration import count_avoiders, word_counts_by_length
 from .errors import OutOfDomain, Unsupported
-from .formulas import closed_count, lookup, stirling_count
+from .formulas import proved_count, stirling_count
 
 _PATTERN_212 = Pattern((2, 1, 2))
 _PATTERN_12 = Pattern((1, 2))
@@ -46,13 +46,10 @@ def _best_count(patterns: PatternSet, n: int, m: int, override_budget: bool) -> 
     if len(patterns) == 1 and patterns.patterns[0] == _PATTERN_212:
         return stirling_count(n, m)
     if len(patterns) == 2:
-        entry = lookup(tuple(patterns))
-        # quoted rows that are not proved here can disagree with the oracle
-        if m == 1 or (entry is not None and entry.trust == "proved-here"):
-            try:
-                return closed_count(tuple(patterns), n, m)
-            except (Unsupported, OutOfDomain):
-                pass
+        try:
+            return proved_count(tuple(patterns), n, m)
+        except (Unsupported, OutOfDomain):
+            pass
     return count_avoiders(n, m, patterns, override_budget=override_budget)
 
 
@@ -60,9 +57,10 @@ def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]
                  *, override_budget: bool = False) -> list[GrowthRow]:
     """Exact counts and growth ratios over a grid of (n, m) cells.
 
-    Counts come from a proved formula when one applies (any catalogued
-    formula at m = 1), otherwise from the enumeration oracle (subject to its
-    length budget).
+    The pattern 212 alone is counted by the Stirling product, a pair by
+    formulas.proved_count where that serves the cell (quoted rows not proved
+    here never count), and the rest by the enumeration oracle (subject to
+    its length budget).
     """
     if not isinstance(patterns, PatternSet):
         patterns = PatternSet.of(*patterns)

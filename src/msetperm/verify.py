@@ -25,7 +25,7 @@ from .formulas import (
     catalan,
     closed_count,
     explicit_count,
-    generalized_catalan,
+    proved_count,
     recurrence_count,
     rothe,
     stirling_count,
@@ -132,15 +132,6 @@ def imported_agreement_report(n_max: int = 4, m_max: int = 3, *,
 
 # -- generating trees ---------------------------------------------------------------
 
-def _tree_reference(name: str, n: int, m: int) -> int:
-    if name == "112-122@m2":
-        return catalan(n)
-    if name == "122-123":
-        return generalized_catalan(n, m)
-    pair = RULE_PATTERN_PAIRS[name]
-    return recurrence_count(pair, n, m) if n >= 1 else 1
-
-
 def verify_gentree(n_max: int = 4, m_max: int = 3, *, tall_n: int = 60,
                    tall_m: int = 5, budget: int = 12) -> list[CheckResult]:
     results = []
@@ -161,14 +152,14 @@ def verify_gentree(n_max: int = 4, m_max: int = 3, *, tall_n: int = 60,
         results.append(CheckResult("gentree", f"{name}-vs-oracle", bad is None,
                                    bad or f"{cells} cells"))
     # tall grid: trees against formulas
-    for name in RULE_PATTERN_PAIRS:
+    for name, pair in RULE_PATTERN_PAIRS.items():
         bad = None
         for m in range(2, tall_m + 1):
             if name == "112-122@m2" and m != 2:
                 continue
             rule = builtin_rule(name, m)
             for n in range(0, tall_n + 1):
-                expected = _tree_reference(name, n, m)
+                expected = proved_count(pair, n, m)
                 actual = count_at_height(rule, n)
                 if expected != actual:
                     bad = f"tree {actual} != formula {expected} at n={n}, m={m}"

@@ -23,14 +23,14 @@ import itertools
 import time
 
 from msetperm.bijections import enumerate_dyck_words, enumerate_paths
-from msetperm.classify import classify_all_length3
+from msetperm.classify import canonical_pair, classify_all_length3
 from msetperm.core import LENGTH3_PATTERNS, PatternSet
 from msetperm.enumeration import count_avoiders
 from msetperm.formulas import (
+    REGISTRY,
     catalan,
     closed_count,
     generalized_catalan,
-    lookup,
     rothe,
 )
 from msetperm.verify import SUITES, imported_agreement_report, run_suite
@@ -108,7 +108,7 @@ def test_criterion_1b_pairs_with_111():
     failures = []
     for other in LENGTH3_PATTERNS:
         pair = ("111", str(other))
-        trust = lookup(pair).trust
+        trust = REGISTRY[canonical_pair(pair)].trust
         if trust != "report-only":
             failures.append(f"{pair} row is {trust}, not report-only")
         ps = PatternSet.of(*pair)

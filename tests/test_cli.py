@@ -38,6 +38,42 @@ class TestCount:
                                "--no-cache")
         assert code == 2 and "unsupported" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--pair", "212,132", "--n", "4", "--m", "2"),  # quoted 55, oracle 37
+        ("--pair", "111,123", "--n", "3", "--m", "2"),  # quoted 5, oracle 43
+        ("--pair", "132,231", "--n", "2", "--m", "2", "--method", "formula"),
+    ])
+    def test_unproved_rows_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "count", *argv, "--no-cache")
+        assert code == 2 and out == ""
+        assert "unsupported" in err and "report-only" in err
+
+    def test_method_all_on_an_unproved_row(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--pair", "212,132", "--n", "4",
+                               "--m", "2", "--method", "all", "--records",
+                               "--no-cache")
+        assert code == 0
+        records = {r["method"]: r for r in map(json.loads, out.splitlines()[:-1])}
+        assert records["oracle"]["count"] == 37
+        assert records["formula"]["count"] == "-"
+        assert "report-only" in records["formula"]["note"]
+        # one answer is not a cross-check, and the verdict says so
+        assert out.splitlines()[-1] == \
+            "cross-check: only oracle answered; nothing to compare"
+
+    def test_method_all_at_m1_shows_no_tree(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--pair", "122,123", "--n", "3",
+                               "--m", "1", "--method", "all", "--records",
+                               "--no-cache")
+        assert code == 0
+        records = {r["method"]: r for r in map(json.loads, out.splitlines()[:-1])}
+        assert records["gentree"]["count"] == "-"
+        assert records["oracle"]["count"] == records["formula"]["count"] == 5
+        assert out.splitlines()[-1] == "cross-check: OK (2 methods agree)"
+        code, out, err = run_cli(capsys, "count", "--pair", "122,123", "--n", "3",
+                                 "--m", "1", "--method", "gentree", "--no-cache")
+        assert code == 2 and out == "" and "unsupported" in err
+
     def test_out_of_domain_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "count", "--pair", "132,231",
                                "--n", "1", "--m", "2", "--method", "formula",

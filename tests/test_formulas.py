@@ -1,10 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from msetperm.core import PatternSet
+from msetperm.classify import canonical_pair
+from msetperm.core import LENGTH3_PATTERNS, TRIPLE_REPEAT, PatternSet
 from msetperm.enumeration import count_avoiders
 from msetperm.errors import ArithmeticBug, OutOfDomain, Unsupported
 from msetperm.formulas import (
@@ -15,6 +17,7 @@ from msetperm.formulas import (
     closed_count,
     explicit_count,
     generalized_catalan,
+    proved_count,
     recurrence_count,
     rothe,
     stirling_count,
@@ -182,6 +185,53 @@ class TestClosedCount:
             for n, m in ((1, 2), (2, 2), (3, 2), (2, 3)):
                 assert closed_count(entry.pair, n, m) == \
                     count_avoiders(n, m, PatternSet(entry.pair))
+
+
+class TestProvedCount:
+    """proved_count is the trust gate: it never answers a count that the
+    oracle does not give."""
+
+    PAIRS = (list(itertools.combinations(LENGTH3_PATTERNS, 2))
+             + [(TRIPLE_REPEAT, p) for p in LENGTH3_PATTERNS])
+    CELLS = [(n, m) for m in range(1, 5) for n in range(0, 8 // m + 1)]
+
+    def test_serves_only_what_the_oracle_confirms(self):
+        assert len(self.PAIRS) == 78
+        served = refused = 0
+        for pair in self.PAIRS:
+            entry = REGISTRY.get(canonical_pair(pair))
+            proved = entry is not None and entry.trust == "proved-here"
+            for n, m in self.CELLS:
+                try:
+                    value = proved_count(pair, n, m)
+                except (Unsupported, OutOfDomain):
+                    refused += 1
+                    # the cells the policy promises to serve are served
+                    assert not (n == 0 or m == 1 or
+                                (proved and entry.validity(n, m))), (pair, n, m)
+                    continue
+                served += 1
+                assert value == count_avoiders(n, m, PatternSet(pair)), (pair, n, m)
+        assert served and refused
+
+    def test_unproved_rows_are_refused_naming_their_trust(self):
+        for pair, n, m in ((("212", "132"), 4, 2), (("111", "123"), 3, 2),
+                           (("132", "231"), 2, 2), (("212", "123"), 3, 2)):
+            trust = REGISTRY[canonical_pair(pair)].trust
+            assert trust != "proved-here"
+            with pytest.raises(Unsupported, match=trust) as exc:
+                proved_count(pair, n, m)
+            assert "msetperm table" in str(exc.value)
+            assert "--method oracle" in str(exc.value)
+            closed_count(pair, n, m)  # the quoted evaluator still serves it
+
+    def test_domain_and_servability_come_before_trust(self):
+        with pytest.raises(OutOfDomain):
+            proved_count(("132", "231"), 1, 2)
+        with pytest.raises(OutOfDomain):
+            proved_count(("112", "122"), -1, 2)
+        with pytest.raises(Unsupported, match="use the enumeration oracle"):
+            proved_count(("123", "132"), 3, 2)
 
 
 class TestOrdinaryPermutations:
