@@ -25,7 +25,6 @@ from .enumeration import (
     list_avoiders,
 )
 from .formulas import (
-    QuadraticInteger,
     catalan,
     catalog,
     closed_count,

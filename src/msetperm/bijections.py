@@ -4,9 +4,8 @@
 * label sequences and lattice paths  <->  (122,123)-avoiders on [n]_m
 * the minima-fixing map between (122,132)- and (122,123)-avoiders
 
-Each direction checks its domain by default (an occurrence of a forbidden
-pattern raises NotInDomain naming the positions); the checks can be turned
-off for bulk round-trip testing.
+Each direction checks every permutation it takes or returns: an occurrence
+of a forbidden pattern raises NotInDomain naming the positions.
 """
 
 from __future__ import annotations
@@ -34,10 +33,7 @@ PAIR_122_123 = PatternSet.of("122", "123")
 PAIR_122_132 = PatternSet.of("122", "132")
 
 
-def _require_avoids(sigma: MultisetPermutation, patterns: PatternSet,
-                    check: bool) -> None:
-    if not check:
-        return
+def _require_avoids(sigma: MultisetPermutation, patterns: PatternSet) -> None:
     for p in patterns:
         occ = find_occurrence(sigma, p)
         if occ is not None:
@@ -95,7 +91,7 @@ def enumerate_dyck_words(n: int) -> Iterator[DyckWord]:
     yield from rec(0, 0)
 
 
-def dyck_to_perm(word: DyckWord, *, check: bool = True) -> MultisetPermutation:
+def dyck_to_perm(word: DyckWord) -> MultisetPermutation:
     """Replace the X's by n, n-1, ..., 1 and the Y's likewise.
 
     The result is a permutation on [n]_2 avoiding 112 and 122.
@@ -111,15 +107,15 @@ def dyck_to_perm(word: DyckWord, *, check: bool = True) -> MultisetPermutation:
             out[i] = next_y
             next_y -= 1
     sigma = MultisetPermutation.regular(out, n, 2) if n else MultisetPermutation((), 0, ())
-    _require_avoids(sigma, PAIR_112_122, check)
+    _require_avoids(sigma, PAIR_112_122)
     return sigma
 
 
-def perm_to_dyck(sigma: MultisetPermutation, *, check: bool = True) -> DyckWord:
+def perm_to_dyck(sigma: MultisetPermutation) -> DyckWord:
     """First occurrences become X, second occurrences become Y."""
     if sigma.alphabet_size > 0 and sigma.regular_m != 2:
         raise NotInDomain("the word correspondence needs a regular multiset with m = 2")
-    _require_avoids(sigma, PAIR_112_122, check)
+    _require_avoids(sigma, PAIR_112_122)
     seen: set[int] = set()
     chars = []
     for v in sigma.letters:
@@ -164,7 +160,7 @@ class LabelSequence:
         return cls(tuple(int(t) for t in text.replace(",", " ").split()), m)
 
 
-def perm_to_labels(sigma: MultisetPermutation, *, check: bool = True) -> LabelSequence:
+def perm_to_labels(sigma: MultisetPermutation) -> LabelSequence:
     """First-ascent positions of the restrictions to letters <= k, k = 0..n.
 
     This reads the tree branch of sigma without building the tree: the
@@ -173,13 +169,13 @@ def perm_to_labels(sigma: MultisetPermutation, *, check: bool = True) -> LabelSe
     m = sigma.regular_m
     if m is None:
         raise NotInDomain("label sequences are defined on regular multisets")
-    _require_avoids(sigma, PAIR_122_123, check)
+    _require_avoids(sigma, PAIR_122_123)
     labels = [first_ascent(sigma.restrict(k).letters)
               for k in range(sigma.alphabet_size + 1)]
     return LabelSequence(tuple(labels), m)
 
 
-def labels_to_perm(seq: LabelSequence, *, check: bool = True) -> MultisetPermutation:
+def labels_to_perm(seq: LabelSequence) -> MultisetPermutation:
     """Replay the insertion history encoded by a label sequence.
 
     Step i inserts the new largest letter i: the child label c of a parent
@@ -198,7 +194,7 @@ def labels_to_perm(seq: LabelSequence, *, check: bool = True) -> MultisetPermuta
         letters[:0] = [i] * (m - 1)
     n = seq.n
     sigma = MultisetPermutation.regular(letters, n, m) if n else MultisetPermutation((), 0, ())
-    _require_avoids(sigma, PAIR_122_123, check)
+    _require_avoids(sigma, PAIR_122_123)
     return sigma
 
 
@@ -307,29 +303,27 @@ def _minima_split(sigma: MultisetPermutation):
     return minima, free
 
 
-def simion_schmidt_f(sigma: MultisetPermutation, *, check: bool = True
-                     ) -> MultisetPermutation:
+def simion_schmidt_f(sigma: MultisetPermutation) -> MultisetPermutation:
     """Keep the left-to-right minima; refill the other slots left to right
     with the removed letters in decreasing order.
 
     Maps (122,132)-avoiders to (122,123)-avoiders with the same minima.
     """
-    _require_avoids(sigma, PAIR_122_132, check)
+    _require_avoids(sigma, PAIR_122_132)
     _, free = _minima_split(sigma)
     letters = list(sigma.letters)
     removed = sorted((letters[i - 1] for i in free), reverse=True)
     for slot, value in zip(free, removed):
         letters[slot - 1] = value
     out = MultisetPermutation(tuple(letters), sigma.alphabet_size, sigma.multiplicity)
-    _require_avoids(out, PAIR_122_123, check)
+    _require_avoids(out, PAIR_122_123)
     return out
 
 
-def simion_schmidt_g(tau: MultisetPermutation, *, check: bool = True
-                     ) -> MultisetPermutation:
+def simion_schmidt_g(tau: MultisetPermutation) -> MultisetPermutation:
     """Inverse of simion_schmidt_f: refill each free slot with the smallest
     unused letter exceeding the closest minimum to its left."""
-    _require_avoids(tau, PAIR_122_123, check)
+    _require_avoids(tau, PAIR_122_123)
     minima, free = _minima_split(tau)
     letters = list(tau.letters)
     pool: list[int] = []
@@ -347,5 +341,5 @@ def simion_schmidt_g(tau: MultisetPermutation, *, check: bool = True
         else:
             floor = letters[i - 1]
     res = MultisetPermutation(tuple(out), tau.alphabet_size, tau.multiplicity)
-    _require_avoids(res, PAIR_122_132, check)
+    _require_avoids(res, PAIR_122_132)
     return res

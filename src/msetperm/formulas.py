@@ -1,4 +1,4 @@
-"""Closed formulas, recurrences, and exact irrational-form evaluators.
+"""Closed formulas, recurrences, and exact Binet-form evaluators.
 
 Every counting family for pairs of length-3 patterns on regular multisets
 is served through a registry keyed by the symmetry representative of the
@@ -10,8 +10,9 @@ pair.  Entries carry a trust level:
   report-only   rows whose validity domain is unclear or that verification
                 has already caught disagreeing with the oracle
 
-All arithmetic is exact: Python ints, Fractions, and quadratic irrationals
-p + q*sqrt(D) with rational p, q.  Floating point never enters a count.
+All arithmetic is exact: Python ints and Fractions; the Binet forms are
+evaluated in Z[sqrt(D)] as integer pairs (x, y) standing for x + y*sqrt(D).
+Floating point never enters a count.
 """
 
 from __future__ import annotations
@@ -74,92 +75,19 @@ def stirling_count(n: int, m: int) -> BigCount:
     return int(value)
 
 
-# -- exact arithmetic in Q(sqrt(D)) --------------------------------------------
-
-@dataclass(frozen=True)
-class QuadraticInteger:
-    """Exact p + q*sqrt(radicand) with rational p, q."""
-
-    p: Fraction
-    q: Fraction
-    radicand: int
-
-    @classmethod
-    def of(cls, p, q, radicand: int) -> "QuadraticInteger":
-        if radicand <= 0:
-            raise ValueError("radicand must be a positive integer")
-        return cls(Fraction(p), Fraction(q), radicand)
-
-    def _require_same_field(self, other: "QuadraticInteger") -> None:
-        if self.radicand != other.radicand:
-            raise ValueError("mixed radicands")
-
-    def __add__(self, other: "QuadraticInteger") -> "QuadraticInteger":
-        self._require_same_field(other)
-        return QuadraticInteger(self.p + other.p, self.q + other.q, self.radicand)
-
-    def __sub__(self, other: "QuadraticInteger") -> "QuadraticInteger":
-        self._require_same_field(other)
-        return QuadraticInteger(self.p - other.p, self.q - other.q, self.radicand)
-
-    def __mul__(self, other):
-        if isinstance(other, QuadraticInteger):
-            self._require_same_field(other)
-            return QuadraticInteger(
-                self.p * other.p + self.q * other.q * self.radicand,
-                self.p * other.q + self.q * other.p,
-                self.radicand,
-            )
-        scalar = Fraction(other)
-        return QuadraticInteger(self.p * scalar, self.q * scalar, self.radicand)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "QuadraticInteger":
-        if exponent < 0:
-            raise ValueError("negative powers are not needed here")
-        out = QuadraticInteger(Fraction(1), Fraction(0), self.radicand)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def conjugate(self) -> "QuadraticInteger":
-        return QuadraticInteger(self.p, -self.q, self.radicand)
-
-    def divided_by_sqrt(self) -> "QuadraticInteger":
-        """Exact division by sqrt(radicand)."""
-        return self * QuadraticInteger(Fraction(0), Fraction(1, self.radicand),
-                                       self.radicand)
-
-    def to_count(self) -> BigCount:
-        """Collapse to a nonnegative integer; any residue is an internal fault."""
-        if self.q != 0:
-            raise ArithmeticBug(f"irrational residue {self.q}*sqrt({self.radicand})")
-        if self.p.denominator != 1 or self.p < 0:
-            raise ArithmeticBug(f"expected a nonnegative integer, got {self.p}")
-        return int(self.p)
-
-    def __str__(self) -> str:
-        return f"{self.p} + {self.q}*sqrt({self.radicand})"
-
-
 # -- the two Fibonacci-like families -------------------------------------------
 
 _REP_211_213 = canonical_pair((Pattern((2, 1, 1)), Pattern((2, 1, 3))))
 _REP_122_213 = canonical_pair((Pattern((1, 2, 2)), Pattern((2, 1, 3))))
+_FAMILIES = (_REP_211_213, _REP_122_213)
 
 
-def _recurrence_coefficient(pair, m: int) -> int:
-    rep = canonical_pair(pair)
-    if rep == _REP_211_213:
-        return 2
-    if rep == _REP_122_213:
-        return m
+def _family(pair) -> Pair:
+    """The representative of the Fibonacci-like family that pair belongs to."""
+    # the registry evaluators and the gentree suite pass a representative
+    rep = pair if pair in _FAMILIES else canonical_pair(pair)
+    if rep in _FAMILIES:
+        return rep
     raise Unsupported(f"no two-term recurrence is catalogued for {rep[0]},{rep[1]}")
 
 
@@ -169,7 +97,7 @@ def recurrence_count(pair, n: int, m: int) -> BigCount:
     coeff is 2 for the (211,213) family and m for the (122,213) family;
     the two coincide at m = 2.
     """
-    coeff = _recurrence_coefficient(pair, m)
+    coeff = 2 if _family(pair) == _REP_211_213 else m
     if n < 1 or m < 2:
         raise OutOfDomain("recurrences are stated for n >= 1, m >= 2")
     if n == 1:
@@ -180,33 +108,46 @@ def recurrence_count(pair, n: int, m: int) -> BigCount:
     return cur
 
 
+def _quadratic_power(a: int, b: int, d: int, e: int) -> tuple[int, int]:
+    """(a + b*sqrt(d))^e as the integer pair (x, y) of x + y*sqrt(d)."""
+    x, y = 1, 0
+    while e:
+        if e & 1:
+            x, y = x * a + y * b * d, x * b + y * a
+        a, b = a * a + b * b * d, 2 * a * b
+        e >>= 1
+    return x, y
+
+
 def explicit_count(pair, n: int, m: int) -> BigCount:
-    """Evaluate the closed Binet-style expressions exactly.
+    """Evaluate the closed Binet-style expressions exactly, in Z[sqrt(D)].
 
     (211,213):  ((2 - m*sqrt(2))(1 - sqrt(2))^(n-1)
-                 + (2 + m*sqrt(2))(1 + sqrt(2))^(n-1)) / 4          in Q(sqrt(2))
+                 + (2 + m*sqrt(2))(1 + sqrt(2))^(n-1)) / 4          D = 2
     (122,213):  2^(-n)/sqrt(D) * ((2 + m + sqrt(D))(m + sqrt(D))^(n-1)
-                 - (2 - m ... )) with D = m^2 + 4                   in Q(sqrt(D))
+                 - (2 + m - sqrt(D))(m - sqrt(D))^(n-1))           D = m^2 + 4
 
-    The irrational parts cancel exactly; a nonzero residue raises
-    ArithmeticBug because it can only come from an implementation fault.
+    Each second summand is the conjugate of the first, so the sqrt(D) parts
+    cancel by construction and only the final division can leave a
+    remainder; a nonzero one raises ArithmeticBug, as it can only come from
+    an implementation fault.
     """
-    coeff = _recurrence_coefficient(pair, m)
+    family = _family(pair)
     if n < 1 or m < 2:
         raise OutOfDomain("explicit forms are stated for n >= 1, m >= 2")
-    if coeff == 2:
-        base = QuadraticInteger.of(1, 1, 2)            # 1 + sqrt(2)
-        front = QuadraticInteger.of(2, m, 2)           # 2 + m*sqrt(2)
-        term = front * base ** (n - 1)
-        total = (term + term.conjugate()) * Fraction(1, 4)
-        return total.to_count()
-    d = m * m + 4
-    base = QuadraticInteger.of(m, 1, d)                # m + sqrt(D)
-    front = QuadraticInteger.of(2 + m, 1, d)           # 2 + m + sqrt(D)
-    term = front * base ** (n - 1)
-    diff = term - term.conjugate()                     # the two mirror summands
-    total = (diff * Fraction(1, 2 ** n)).divided_by_sqrt()
-    return total.to_count()
+    if family == _REP_211_213:
+        x, y = _quadratic_power(1, 1, 2, n - 1)
+        # (2 + m*sqrt(2))(x + y*sqrt(2)) plus its conjugate
+        total, divisor = 2 * (2 * x + 2 * m * y), 4
+    else:
+        d = m * m + 4
+        x, y = _quadratic_power(m, 1, d, n - 1)
+        # (2 + m + sqrt(D))(x + y*sqrt(D)) minus its conjugate, over sqrt(D)
+        total, divisor = 2 * (x + (2 + m) * y), 2 ** n
+    value, rem = divmod(total, divisor)
+    if rem:
+        raise ArithmeticBug(f"explicit form left remainder {rem}/{divisor}")
+    return value
 
 
 # -- the formula registry -------------------------------------------------------
@@ -379,10 +320,9 @@ _M1_BINOM = canonical_pair((Pattern.parse("123"), Pattern.parse("231")))
 _M1_CROSS = canonical_pair((Pattern.parse("123"), Pattern.parse("321")))
 
 
-def _ordinary_pair_count(pair: Pair, n: int) -> BigCount:
+def _ordinary_pair_count(rep: Pair, n: int) -> BigCount:
     """Classical counts for ordinary permutations avoiding two length-3
-    patterns; oracle-verified in the test suite."""
-    rep = canonical_pair(pair)
+    patterns, by canonical pair; oracle-verified in the test suite."""
     if rep in _M1_POWERS:
         return 2 ** (n - 1)
     if rep == _M1_BINOM:
@@ -392,15 +332,18 @@ def _ordinary_pair_count(pair: Pair, n: int) -> BigCount:
     raise Unsupported(f"no classical pair count catalogued for {rep[0]},{rep[1]}")
 
 
-def _m1_count(patterns: tuple[Pattern, ...], n: int) -> BigCount:
+def _m1_count(rep: Pair, n: int) -> BigCount:
     # Patterns with repeated letters are never contained in an ordinary
     # permutation, so they drop out of the pair.
-    ordinary = tuple(p for p in patterns if p.is_ordinary)
+    ordinary = tuple(p for p in rep if p.is_ordinary)
     if len(ordinary) == 0:
         return math.factorial(n)
-    if len(ordinary) == 1:
+    if len(ordinary) == 2:
+        return _ordinary_pair_count(rep, n)
+    if len(ordinary[0]) == 3:
         return catalan(n)  # all six single length-3 patterns count the same
-    return _ordinary_pair_count(ordinary, n)
+    raise Unsupported(
+        f"no m = 1 count catalogued for the ordinary pattern {ordinary[0]} alone")
 
 
 # -- dispatcher -------------------------------------------------------------------

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import bijections as bij
-from .classify import classify_all_length3
+from .classify import canonical_pair, classify_all_length3
 from .core import MultisetPermutation, PatternSet, avoids_all, left_to_right_minima
 from .enumeration import COUNT_LENGTH_BUDGET, count_avoiders, list_avoiders
 from .formulas import (
@@ -168,13 +168,15 @@ def verify_gentree(n_max: int = 4, m_max: int = 3, *, tall_n: int = 60,
                 break
         results.append(CheckResult("gentree", f"{name}-vs-formula", bad is None,
                                    bad or f"n <= {tall_n}"))
-    # explicit forms match the recurrences they solve
+    # explicit forms match the recurrences they solve; given representatives,
+    # neither function calls canonical_pair again
+    reps = {pair: canonical_pair(pair) for pair in _RECURRENCE_PAIRS}
     bad = next(
         (f"explicit != recurrence at pair={pair}, n={n}, m={m}"
-         for pair in _RECURRENCE_PAIRS
+         for pair, rep in reps.items()
          for m in range(2, 7)
          for n in range(1, 201)
-         if explicit_count(pair, n, m) != recurrence_count(pair, n, m)),
+         if explicit_count(rep, n, m) != recurrence_count(rep, n, m)),
         None)
     results.append(CheckResult("gentree", "explicit-vs-recurrence", bad is None,
                                bad or "n <= 200, m <= 6"))

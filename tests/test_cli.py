@@ -48,6 +48,13 @@ class TestCount:
         assert code == 2 and out == ""
         assert "unsupported" in err and "report-only" in err
 
+    @pytest.mark.parametrize("pair", ["112,12", "121,1", "11,1234"])
+    def test_m1_catalog_refuses_other_pattern_lengths(self, capsys, pair):
+        # the oracle gives 1, 0 and 23; the catalog used to print catalan(4)
+        code, out, err = run_cli(capsys, "count", "--pair", pair, "--n", "4",
+                                 "--m", "1", "--no-cache")
+        assert code == 2 and out == "" and "unsupported" in err
+
     def test_method_all_on_an_unproved_row(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--pair", "212,132", "--n", "4",
                                "--m", "2", "--method", "all", "--records",
@@ -280,6 +287,11 @@ class TestOtherCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "n,m,count,ratio"
         assert lines[2].startswith("2,2,3,")
+        # outside the m = 1 catalog the oracle counts (12-avoiders: one each)
+        code, out, _ = run_cli(capsys, "growth", "--pattern", "112,12",
+                               "--m", "1", "--nmax", "4", "--csv")
+        assert code == 0
+        assert [l.split(",")[2] for l in out.splitlines()[1:]] == ["1"] * 4
 
     def test_verify_suites_exit_zero(self, capsys):
         for suite in ("table1", "gentree", "bijections", "growth", "classify"):
