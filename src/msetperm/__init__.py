@@ -10,13 +10,11 @@ from .core import (
     MultisetPermutation,
     Pattern,
     PatternSet,
-    Statistics,
     avoids_all,
     contains,
     find_occurrence,
     left_to_right_minima,
     normalize_pattern,
-    statistics,
     symmetry,
 )
 from .enumeration import (
@@ -37,12 +35,8 @@ from .formulas import (
 )
 from .gentree import (
     SuccessionRule,
-    LevelProfile,
     builtin_rule,
     count_at_height,
-    expand_branches,
-    iter_branches,
-    level_profile,
 )
 from .bijections import (
     DyckWord,

@@ -95,20 +95,18 @@ def classify_all_length3() -> tuple[PatternPairClass, ...]:
     return tuple(sorted(seen.values(), key=lambda c: c.representative))
 
 
-def count_vector(pair, n_max: int, m_max: int, *,
-                 override_budget: bool = False) -> tuple[int, ...]:
+def count_vector(pair, n_max: int, m_max: int) -> tuple[int, ...]:
     """Avoider counts over the (n, m) grid, row-major in n then m."""
     a, b = _as_pair(pair)
     patterns = PatternSet((a, b))
     out = []
     for n in range(1, n_max + 1):
         for m in range(2, m_max + 1):
-            out.append(count_avoiders(n, m, patterns, override_budget=override_budget))
+            out.append(count_avoiders(n, m, patterns))
     return tuple(out)
 
 
-def empirical_wilf_classes(n_max: int, m_max: int, *,
-                           override_budget: bool = False
+def empirical_wilf_classes(n_max: int, m_max: int
                            ) -> tuple[tuple[PatternPairClass, ...], ...]:
     """Group the symmetry classes by their counting vectors on a finite grid.
 
@@ -116,14 +114,13 @@ def empirical_wilf_classes(n_max: int, m_max: int, *,
     grouping refines as the grid grows (and may split again, as the two
     Fibonacci-like classes do once m = 3 is included).
     """
-    if n_max * m_max > COUNT_LENGTH_BUDGET and not override_budget:
+    if n_max * m_max > COUNT_LENGTH_BUDGET:
         raise BudgetExceeded(
             f"grid corner n={n_max}, m={m_max} exceeds the counting budget"
         )
     groups: dict[tuple[int, ...], list[PatternPairClass]] = {}
     for cls in classify_all_length3():
-        vec = count_vector(cls.representative, n_max, m_max,
-                           override_budget=override_budget)
+        vec = count_vector(cls.representative, n_max, m_max)
         groups.setdefault(vec, []).append(cls)
     return tuple(tuple(g) for g in sorted(groups.values(),
                                           key=lambda g: g[0].representative))

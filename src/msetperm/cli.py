@@ -36,7 +36,7 @@ from .errors import (
     Unsupported,
 )
 from .formulas import REGISTRY, catalog, proved_count, recurrence_count
-from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height
+from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height, levels
 from .growth import growth_csv, growth_table
 from .verify import CheckResult, imported_agreement_report, run_suite
 
@@ -274,9 +274,9 @@ def cmd_table(args) -> int:
 
 def cmd_rule(args) -> int:
     rule = builtin_rule(args.name, args.m)
-    print(rule.describe())
+    print(rule.grammar)
     if args.heights:
-        counts = [count_at_height(rule, h) for h in range(args.heights + 1)]
+        counts = [sum(profile.values()) for profile in levels(rule, args.heights)]
         print("counts by height:", " ".join(str(c) for c in counts))
     return 0
 

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     InvalidPattern,
     InvalidPermutation,
-    UnsupportedStatistic,
     UnsupportedSymmetry,
 )
 
@@ -328,21 +327,6 @@ def symmetry(sigma: MultisetPermutation, which: str) -> MultisetPermutation:
 
 # -- positional statistics ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Statistics:
-    """The four positions driving the generating trees.
-
-    r: first repetition, a: first ascent, d: first descent, o: (m-1)-th
-    occurrence of the largest letter.  A missing ascent/descent/repetition is
-    encoded by the sentinel length+1; the empty permutation has r=a=d=1, o=0.
-    """
-
-    r: int
-    a: int
-    d: int
-    o: int
-
-
 def first_repetition(letters: Sequence[int]) -> int:
     """Least position whose letter already occurred, else length+1 (1 if empty)."""
     if not letters:
@@ -373,36 +357,6 @@ def first_descent(letters: Sequence[int]) -> int:
         if letters[i - 1] > letters[i]:
             return i + 1
     return len(letters) + 1
-
-
-def largest_occurrence_position(sigma: MultisetPermutation) -> int:
-    """Position of the (m-1)-th occurrence of the largest letter; 0 if empty
-    or m = 1 (zero occurrences are reached before reading any letter)."""
-    m = sigma.regular_m
-    if m is None:
-        raise UnsupportedStatistic("occurrence statistic needs a regular multiset")
-    if sigma.alphabet_size == 0 or m == 1:
-        return 0
-    n = sigma.alphabet_size
-    hits = 0
-    for i, v in enumerate(sigma.letters, start=1):
-        if v == n:
-            hits += 1
-            if hits == m - 1:
-                return i
-    raise AssertionError("regular permutation must contain m copies of n")
-
-
-def statistics(sigma: MultisetPermutation) -> Statistics:
-    """All four statistics of a permutation on a regular multiset."""
-    if sigma.regular_m is None:
-        raise UnsupportedStatistic("statistics are defined on regular multisets")
-    return Statistics(
-        r=first_repetition(sigma.letters),
-        a=first_ascent(sigma.letters),
-        d=first_descent(sigma.letters),
-        o=largest_occurrence_position(sigma),
-    )
 
 
 def left_to_right_minima(sigma: MultisetPermutation | Sequence[int]) -> tuple[int, ...]:

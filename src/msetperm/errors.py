@@ -17,10 +17,6 @@ class UnsupportedSymmetry(MsetPermError):
     """Complement requested for a permutation on a non-regular multiset."""
 
 
-class UnsupportedStatistic(MsetPermError):
-    """A positional statistic was requested outside its domain."""
-
-
 class BudgetExceeded(MsetPermError):
     """Enumeration length budget exceeded without an explicit override."""
 
@@ -39,10 +35,6 @@ class ArithmeticBug(MsetPermError):
 
 class UnknownRule(Unsupported):
     """Requested succession rule is not built in, or not for the requested m."""
-
-
-class ExplosionGuard(MsetPermError):
-    """Materializing tree branches would exceed the requested limit."""
 
 
 class InvalidDyck(MsetPermError):

@@ -348,11 +348,24 @@ def _m1_count(rep: Pair, n: int) -> BigCount:
 
 # -- dispatcher -------------------------------------------------------------------
 
+def _representative(pair) -> Pair:
+    # A registry key is a representative already: the gentree suite passes
+    # one per cell of its tall grid.  Lists and other unhashable inputs
+    # cannot be keys.
+    try:
+        if pair in REGISTRY:
+            return pair
+    except TypeError:
+        pass
+    return canonical_pair(pair)
+
+
 def _serve(pair, n: int, m: int, proved_only: bool) -> BigCount:
-    # canonical_pair costs more than most evaluators: call it once per count
+    # canonical_pair costs more than most evaluators: call it at most once
+    # per count
     if n < 0 or m < 1:
         raise OutOfDomain("need n >= 0 and m >= 1")
-    rep = canonical_pair(pair)
+    rep = _representative(pair)
     if n == 0:
         return 1
     if m == 1:

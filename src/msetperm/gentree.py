@@ -4,6 +4,8 @@ A succession rule is a label-rewriting system: a root label plus a map from
 a parent label to the ordered multiset of its children's labels.  Nodes at
 height h correspond to the counted objects of size h, so counting a family
 means iterating a label -> multiplicity profile one level at a time.
+`levels` walks the heights in one pass and keeps only the current level;
+`count_at_height` is the last total of that pass.
 
 Two of the built-in rules produce children on a contiguous label interval
 whose width grows with the parent label; for those the level step is done
@@ -14,9 +16,9 @@ label rather than quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
-from .errors import ExplosionGuard, UnknownRule
+from .errors import UnknownRule
 
 #: Dead label: such nodes are counted but never extended.
 DEAD = "N"
@@ -27,42 +29,28 @@ Profile = dict[Label, int]
 
 @dataclass(frozen=True)
 class SuccessionRule:
-    """A named label-rewriting system with an optional fast level step."""
+    """A named label-rewriting system with an optional fast level step.
+
+    `children(label)` gives a node's ordered child labels exactly as the rule
+    writes them, and `grammar` its plain-text productions.  The generic
+    expansion of `children` in `step` is the reference for `fast_step`.
+    """
 
     name: str
     m: int
     root: Label
-    children_of: Callable[[Label], tuple[Label, ...]]
+    children: Callable[[Label], tuple[Label, ...]]
     fast_step: Callable[[Profile], Profile] | None
     grammar: str
-
-    def children(self, label: Label) -> tuple[Label, ...]:
-        """Ordered child labels of a node, exactly as the rule writes them."""
-        return self.children_of(label)
 
     def step(self, profile: Profile) -> Profile:
         if self.fast_step is not None:
             return self.fast_step(profile)
         out: Profile = {}
         for label, count in profile.items():
-            for child in self.children_of(label):
+            for child in self.children(label):
                 out[child] = out.get(child, 0) + count
         return out
-
-    def describe(self) -> str:
-        """Plain-text grammar: root line plus one production per label class."""
-        return self.grammar
-
-
-@dataclass(frozen=True)
-class LevelProfile:
-    """Label -> node-count map at one height of the tree."""
-
-    height: int
-    counts: Mapping[Label, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 def _suffix_sum_step(lo: int, shift: int) -> Callable[[Profile], Profile]:
@@ -107,6 +95,9 @@ def _rule_first_ascent(m: int) -> SuccessionRule:
 
 
 def _rule_descent_offset(m: int) -> SuccessionRule:
+    """The (211,213) tree.  Its labels are only a counting device: unlike
+    the other three rules' labels they match no positional statistic of the
+    avoiders (at m = 3 the height-3 profile is {2: 5, 1: 2, N: 2})."""
     # root 1; 1 -> 2; 2 -> 2 1 N^(m-2) 2; N -> nothing
     def children(label: Label) -> tuple[Label, ...]:
         if label == DEAD:
@@ -179,47 +170,20 @@ def builtin_rule(name: str, m: int = 2) -> SuccessionRule:
     return _BUILTIN[name](m)
 
 
-def level_profile(rule: SuccessionRule, height: int) -> LevelProfile:
-    """Label multiplicities at the given height (root sits at height 0)."""
+def levels(rule: SuccessionRule, height: int) -> Iterator[Profile]:
+    """The label -> node-count profile of each height 0..height, in one pass
+    that keeps only the current level (the root sits at height 0)."""
     if height < 0:
         raise ValueError("height must be nonnegative")
     profile: Profile = {rule.root: 1}
+    yield profile
     for _ in range(height):
         profile = rule.step(profile)
-    return LevelProfile(height, profile)
+        yield profile
 
 
 def count_at_height(rule: SuccessionRule, height: int) -> int:
-    """Number of tree nodes at the given height."""
-    return level_profile(rule, height).total()
-
-
-def iter_branches(rule: SuccessionRule, height: int) -> Iterator[tuple[Label, ...]]:
-    """Stream all root-to-height label sequences in rule order."""
-    if height < 0:
-        raise ValueError("height must be nonnegative")
-    path: list[Label] = [rule.root]
-
-    def rec(depth: int) -> Iterator[tuple[Label, ...]]:
-        if depth == height:
-            yield tuple(path)
-            return
-        for child in rule.children(path[-1]):
-            path.append(child)
-            yield from rec(depth + 1)
-            path.pop()
-
-    yield from rec(0)
-
-
-def expand_branches(rule: SuccessionRule, height: int,
-                    limit: int | None = 100_000) -> list[tuple[Label, ...]]:
-    """Materialize the branches of iter_branches, guarding against blowup."""
-    out = []
-    for branch in iter_branches(rule, height):
-        if limit is not None and len(out) >= limit:
-            raise ExplosionGuard(
-                f"more than {limit} branches at height {height}; "
-                f"use iter_branches to stream them")
-        out.append(branch)
-    return out
+    """Number of tree nodes at the given height: the last total of levels."""
+    for profile in levels(rule, height):
+        pass
+    return sum(profile.values())

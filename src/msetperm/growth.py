@@ -42,7 +42,7 @@ def _growth_ratio(count: int, length: int) -> float:
     return math.exp(math.log(count) / length)
 
 
-def _best_count(patterns: PatternSet, n: int, m: int, override_budget: bool) -> int:
+def _best_count(patterns: PatternSet, n: int, m: int) -> int:
     if len(patterns) == 1 and patterns.patterns[0] == _PATTERN_212:
         return stirling_count(n, m)
     if len(patterns) == 2:
@@ -50,11 +50,11 @@ def _best_count(patterns: PatternSet, n: int, m: int, override_budget: bool) -> 
             return proved_count(tuple(patterns), n, m)
         except (Unsupported, OutOfDomain):
             pass
-    return count_avoiders(n, m, patterns, override_budget=override_budget)
+    return count_avoiders(n, m, patterns)
 
 
-def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]],
-                 *, override_budget: bool = False) -> list[GrowthRow]:
+def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]]
+                 ) -> list[GrowthRow]:
     """Exact counts and growth ratios over a grid of (n, m) cells.
 
     The pattern 212 alone is counted by the Stirling product, a pair by
@@ -66,7 +66,7 @@ def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]
         patterns = PatternSet.of(*patterns)
     rows = []
     for n, m in grid:
-        count = _best_count(patterns, n, m, override_budget)
+        count = _best_count(patterns, n, m)
         rows.append(GrowthRow(n, m, count, _growth_ratio(count, n * m)))
     return rows
 
@@ -90,24 +90,19 @@ class StirlingVerdict:
         return self.enumerated == self.formula
 
 
-def check_stirling_identity(n: int, m: int, *, override_budget: bool = False
-                            ) -> StirlingVerdict:
+def check_stirling_identity(n: int, m: int) -> StirlingVerdict:
     """Compare the enumerated 212-avoider count with the closed product form."""
-    enumerated = count_avoiders(n, m, PatternSet.of(_PATTERN_212),
-                                override_budget=override_budget)
+    enumerated = count_avoiders(n, m, PatternSet.of(_PATTERN_212))
     return StirlingVerdict(n, m, enumerated, stirling_count(n, m))
 
 
 # -- words ------------------------------------------------------------------------
 
-def count_words_avoiding(n: int, length: int, patterns: PatternSet | Sequence,
-                         *, override_budget: bool = False) -> int:
+def count_words_avoiding(n: int, length: int, patterns: PatternSet | Sequence) -> int:
     """Words of the given length over [n] avoiding every pattern, counted by
     the same walk as the permutation oracle with no multiplicity
     constraint."""
-    counts = word_counts_by_length(n, length, patterns,
-                                   override_budget=override_budget)
-    return counts[length]
+    return word_counts_by_length(n, length, patterns)[length]
 
 
 def word_counterexample_probe(length: int, n: int) -> int:

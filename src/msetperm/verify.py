@@ -14,11 +14,21 @@ run each suite at full scope, and `msetperm verify` at its default scope.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from . import bijections as bij
 from .classify import canonical_pair, classify_all_length3
-from .core import MultisetPermutation, PatternSet, avoids_all, left_to_right_minima
+from .core import (
+    MultisetPermutation,
+    PatternSet,
+    avoids_all,
+    first_ascent,
+    first_descent,
+    first_repetition,
+    left_to_right_minima,
+)
 from .enumeration import COUNT_LENGTH_BUDGET, count_avoiders, list_avoiders
 from .formulas import (
     REGISTRY,
@@ -30,7 +40,7 @@ from .formulas import (
     rothe,
     stirling_count,
 )
-from .gentree import DEAD, RULE_PATTERN_PAIRS, builtin_rule, count_at_height, level_profile
+from .gentree import DEAD, RULE_PATTERN_PAIRS, Profile, builtin_rule, levels
 from .growth import check_stirling_identity, word_counts_by_length
 
 
@@ -132,18 +142,37 @@ def imported_agreement_report(n_max: int = 4, m_max: int = 3, *,
 
 # -- generating trees ---------------------------------------------------------------
 
+#: The positional statistic that each labelled rule's labels record: the
+#: profile at height n is that statistic's distribution over the avoiders of
+#: [n]_m.  The 211-213 labels record none.
+_LABEL_STATISTICS = {
+    "112-122@m2": first_repetition,
+    "122-123": first_ascent,
+    "122-213": first_descent,
+}
+
+
+def _tree_levels(name: str, m_max: int, top: Callable[[int], int]
+                 ) -> Iterator[tuple[int, int, Profile]]:
+    """(n, m, profile) for every height n <= top(m) of the rule's tree at
+    each m it takes up to m_max, in one pass per m."""
+    for m in range(2, 3) if name == "112-122@m2" else range(2, m_max + 1):
+        for n, profile in enumerate(levels(builtin_rule(name, m), top(m))):
+            yield n, m, profile
+
+
 def verify_gentree(n_max: int = 4, m_max: int = 3, *, tall_n: int = 60,
                    tall_m: int = 5, budget: int = 12) -> list[CheckResult]:
+    """Trees against the oracle, counts and labels, on the n*m <= budget
+    grid, and against the proved formulas to height tall_n."""
     results = []
     # small grid: trees against the oracle
     for name, pair in RULE_PATTERN_PAIRS.items():
         patterns = PatternSet.of(*pair)
         bad = None
         cells = 0
-        for n, m in _grid(n_max, m_max, budget):
-            if name == "112-122@m2" and m != 2:
-                continue
-            tree = count_at_height(builtin_rule(name, m), n)
+        for n, m, profile in _tree_levels(name, m_max, lambda m: min(n_max, budget // m)):
+            tree = sum(profile.values())
             oracle = count_avoiders(n, m, patterns)
             cells += 1
             if tree != oracle:
@@ -151,20 +180,29 @@ def verify_gentree(n_max: int = 4, m_max: int = 3, *, tall_n: int = 60,
                 break
         results.append(CheckResult("gentree", f"{name}-vs-oracle", bad is None,
                                    bad or f"{cells} cells"))
-    # tall grid: trees against formulas
-    for name, pair in RULE_PATTERN_PAIRS.items():
+    # labels: each height's profile is its statistic's distribution
+    for name, statistic in _LABEL_STATISTICS.items():
+        patterns = PatternSet.of(*RULE_PATTERN_PAIRS[name])
         bad = None
-        for m in range(2, tall_m + 1):
-            if name == "112-122@m2" and m != 2:
-                continue
-            rule = builtin_rule(name, m)
-            for n in range(0, tall_n + 1):
-                expected = proved_count(pair, n, m)
-                actual = count_at_height(rule, n)
-                if expected != actual:
-                    bad = f"tree {actual} != formula {expected} at n={n}, m={m}"
-                    break
-            if bad:
+        cells = 0
+        for n, m, profile in _tree_levels(name, m_max, lambda m: budget // m):
+            oracle = Counter(statistic(sigma.letters)
+                             for sigma in list_avoiders(n, m, patterns))
+            cells += 1
+            if profile != oracle:
+                bad = f"labels {profile} != oracle {dict(oracle)} at n={n}, m={m}"
+                break
+        results.append(CheckResult("gentree", f"{name}-labels", bad is None,
+                                   bad or f"{cells} cells"))
+    # tall grid: trees against formulas, given each pair's representative
+    for name, pair in RULE_PATTERN_PAIRS.items():
+        rep = canonical_pair(pair)
+        bad = None
+        for n, m, profile in _tree_levels(name, tall_m, lambda m: tall_n):
+            expected = proved_count(rep, n, m)
+            actual = sum(profile.values())
+            if expected != actual:
+                bad = f"tree {actual} != formula {expected} at n={n}, m={m}"
                 break
         results.append(CheckResult("gentree", f"{name}-vs-formula", bad is None,
                                    bad or f"n <= {tall_n}"))
@@ -187,8 +225,7 @@ def verify_gentree(n_max: int = 4, m_max: int = 3, *, tall_n: int = 60,
 
 def _check_dead_label_tree(m: int = 4, height: int = 8) -> CheckResult:
     rule = builtin_rule("211-213", m)
-    for h in range(height + 1):
-        profile = level_profile(rule, h).counts
+    for h, profile in enumerate(levels(rule, height)):
         for label in profile:
             if label not in (1, 2, DEAD):
                 return CheckResult("gentree", "dead-label-shape", False,

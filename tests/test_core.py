@@ -13,13 +13,11 @@ from msetperm.core import (
     first_repetition,
     left_to_right_minima,
     normalize_pattern,
-    statistics,
     symmetry,
 )
 from msetperm.errors import (
     InvalidPattern,
     InvalidPermutation,
-    UnsupportedStatistic,
     UnsupportedSymmetry,
 )
 
@@ -152,34 +150,25 @@ class TestStatistics:
     def test_first_ascent_branch_example(self):
         assert first_ascent(tuple(P("332221311").letters)) == 7
 
-    def test_o_statistic(self):
-        assert statistics(P("332121")).o == 1
-
     def test_empty_conventions(self):
-        empty = MultisetPermutation((), 0, ())
-        stats = statistics(empty)
-        assert (stats.r, stats.a, stats.d, stats.o) == (1, 1, 1, 0)
+        for statistic in (first_repetition, first_ascent, first_descent):
+            assert statistic(()) == 1
 
     def test_sentinels(self):
         sigma = P("332211")  # weakly decreasing: no ascent
-        stats = statistics(sigma)
-        assert stats.a == sigma.length + 1
-        assert stats.d == 3
+        assert first_ascent(sigma.letters) == sigma.length + 1
+        assert first_descent(sigma.letters) == 3
         rising = P("112233")
-        assert statistics(rising).d == rising.length + 1
+        assert first_descent(rising.letters) == rising.length + 1
+        assert first_repetition((1, 2, 3)) == 4
 
     def test_sentinel_iff_monotone(self):
         from reference import all_regular_perms
         for letters in all_regular_perms(3, 2):
-            stats = statistics(MultisetPermutation.from_letters(letters))
             weakly_decreasing = all(a >= b for a, b in zip(letters, letters[1:]))
             weakly_increasing = all(a <= b for a, b in zip(letters, letters[1:]))
-            assert (stats.a == 7) == weakly_decreasing
-            assert (stats.d == 7) == weakly_increasing
-
-    def test_statistics_need_regular_input(self):
-        with pytest.raises(UnsupportedStatistic):
-            statistics(MultisetPermutation.from_letters((1, 1, 2)))
+            assert (first_ascent(letters) == 7) == weakly_decreasing
+            assert (first_descent(letters) == 7) == weakly_increasing
 
     def test_first_descent(self):
         assert first_descent((1, 2, 1)) == 3

@@ -167,15 +167,19 @@ class TestProvedCount:
              + [(TRIPLE_REPEAT, p) for p in LENGTH3_PATTERNS])
     # patterns of other lengths, which the m = 1 catalog does not cover
     OTHER_PAIRS = [("112", "12"), ("121", "1"), ("11", "1234")]
+    # pairs of PAIRS in the other shapes canonical_pair accepts: a list, and
+    # tuples and lists of lists (the Pattern tuples in PAIRS include every
+    # registry key)
+    OTHER_SHAPES = [["122", "213"], ([1, 2, 2], [1, 2, 3]), [[2, 1, 2], [1, 3, 2]]]
     CELLS = [(n, m) for m in range(1, 5) for n in range(0, 8 // m + 1)]
 
     def test_serves_only_what_the_oracle_confirms(self):
         assert len(self.PAIRS) == 78
         served = refused = 0
-        for pair in self.PAIRS + self.OTHER_PAIRS:
+        for pair in self.PAIRS + self.OTHER_PAIRS + self.OTHER_SHAPES:
             entry = REGISTRY.get(canonical_pair(pair))
             proved = entry is not None and entry.trust == "proved-here"
-            catalogued_m1 = pair in self.PAIRS
+            catalogued_m1 = pair not in self.OTHER_PAIRS
             for n, m in self.CELLS:
                 try:
                     value = proved_count(pair, n, m)

@@ -1,17 +1,17 @@
+import dataclasses
+
 import pytest
 
 from msetperm.core import PatternSet
 from msetperm.enumeration import count_avoiders
-from msetperm.errors import ExplosionGuard, UnknownRule
+from msetperm.errors import UnknownRule
 from msetperm.formulas import catalan, generalized_catalan, recurrence_count
 from msetperm.gentree import (
     DEAD,
     RULE_PATTERN_PAIRS,
     builtin_rule,
     count_at_height,
-    expand_branches,
-    iter_branches,
-    level_profile,
+    levels,
 )
 
 
@@ -47,11 +47,11 @@ class TestRuleDefinitions:
             builtin_rule("122-213", 1)
 
     def test_grammar_export_mentions_every_production(self):
-        text = builtin_rule("211-213", 4).describe()
+        text = builtin_rule("211-213", 4).grammar
         assert text.splitlines()[0] == "root 1"
         assert "2 -> 2 1 N N 2" in text
         assert "N ->" in text
-        assert "(r) -> (2) (3) ... (r) (r+1)" in builtin_rule("112-122@m2", 2).describe()
+        assert "(r) -> (2) (3) ... (r) (r+1)" in builtin_rule("112-122@m2", 2).grammar
 
 
 class TestCounting:
@@ -98,8 +98,15 @@ class TestCounting:
 
     def test_level_profile_multiplicities(self):
         # the dead-label tree at height 2 holds m+1 nodes: two 2s, one 1, m-2 Ns
-        profile = level_profile(builtin_rule("211-213", 5), 2).counts
-        assert profile == {2: 2, 1: 1, DEAD: 3}
+        assert list(levels(builtin_rule("211-213", 5), 2)) == \
+            [{1: 1}, {2: 1}, {2: 2, 1: 1, DEAD: 3}]
+
+    def test_levels_totals_are_count_at_height(self):
+        rule = builtin_rule("122-213", 3)
+        assert [sum(p.values()) for p in levels(rule, 10)] == \
+            [count_at_height(rule, h) for h in range(11)]
+        with pytest.raises(ValueError):
+            count_at_height(rule, -1)
 
     def test_dead_nodes_counted_but_childless(self):
         m = 4
@@ -108,40 +115,44 @@ class TestCounting:
         assert count_at_height(rule, 3) == 2 * (m + 1) + 1
 
 
+def _branches(rule, height):
+    """Every root-to-height label sequence, expanded from rule.children."""
+    branches = [(rule.root,)]
+    for _ in range(height):
+        branches = [b + (c,) for b in branches for c in rule.children(b[-1])]
+    return branches
+
+
 class TestBranches:
     def test_zero_height(self):
         for name in RULE_PATTERN_PAIRS:
-            assert expand_branches(builtin_rule(name, 2), 0) == [(1,)]
+            assert list(levels(builtin_rule(name, 2), 0)) == [{1: 1}]
 
     def test_figure_branch_present(self):
-        branches = expand_branches(builtin_rule("122-123", 3), 4)
-        assert (1, 4, 7, 7, 7) in branches
+        assert (1, 4, 7, 7, 7) in _branches(builtin_rule("122-123", 3), 4)
 
     def test_branch_multiset_for_dead_rule(self):
-        branches = expand_branches(builtin_rule("211-213", 2), 2)
+        branches = _branches(builtin_rule("211-213", 2), 2)
         assert sorted(branches) == [(1, 2, 1), (1, 2, 2), (1, 2, 2)]
 
-    def test_branch_count_equals_node_count(self):
-        for name in RULE_PATTERN_PAIRS:
-            for m in (2, 3):
+    def test_fast_step_matches_children(self):
+        # the suffix-sum step against the generic expansion of the rule's
+        # written children, level by level
+        for name in ("112-122@m2", "122-123"):
+            for m in (2, 3, 5):
                 if name == "112-122@m2" and m != 2:
                     continue
                 rule = builtin_rule(name, m)
-                for h in range(5):
-                    assert sum(1 for _ in iter_branches(rule, h)) == \
-                        count_at_height(rule, h)
+                assert rule.fast_step is not None
+                generic = dataclasses.replace(rule, fast_step=None)
+                assert list(levels(rule, 8)) == list(levels(generic, 8)), (name, m)
 
     def test_children_order_matches_rule_text(self):
-        branches = expand_branches(builtin_rule("122-123", 2), 2)
+        rule = builtin_rule("122-123", 2)
         # children of 3 are written (5)(3)(4): top label first
-        assert branches == [(1, 3, 5), (1, 3, 3), (1, 3, 4)]
-
-    def test_explosion_guard(self):
-        with pytest.raises(ExplosionGuard):
-            expand_branches(builtin_rule("112-122@m2", 2), 10, limit=50)
-        # streaming has no guard
-        assert sum(1 for _ in iter_branches(builtin_rule("112-122@m2", 2), 10)) == \
-            catalan(10)
+        assert rule.children(1) == (3,)
+        assert rule.children(3) == (5, 3, 4)
+        assert _branches(rule, 2) == [(1, 3, 5), (1, 3, 3), (1, 3, 4)]
 
 
 def test_unreachable_labels_fail_loudly():
