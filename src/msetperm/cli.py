@@ -36,8 +36,8 @@ from .errors import (
     Unsupported,
 )
 from .formulas import REGISTRY, catalog, proved_count, recurrence_count
-from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height, levels
-from .growth import growth_csv, growth_table
+from .gentree import RULE_PATTERN_PAIRS, SuccessionRule, builtin_rule, count_at_height, levels
+from .growth import growth_table
 from .verify import CheckResult, imported_agreement_report, run_suite
 
 
@@ -53,7 +53,7 @@ def _emit(records: list[dict], columns: list[str], args) -> None:
         for rec in records:
             print(json.dumps(rec))
     elif getattr(args, "csv", False):
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for rec in records:
             writer.writerow([rec.get(c, "") for c in columns])
@@ -84,12 +84,16 @@ def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
     if method == "recurrence":
         return recurrence_count(pair, n, m) if n >= 1 else 1
     if method == "gentree":
-        name = _rule_names().get(canonical_pair(pair))
-        if name is None:
-            raise Unsupported(f"no built-in succession rule covers {pair}")
-        # builtin_rule refuses an m outside the rule's domain
-        return count_at_height(builtin_rule(name, m), n)
+        return count_at_height(_rule_for(pair, m), n)
     raise Unsupported(f"unknown method {method!r}")
+
+
+def _rule_for(pair: tuple[str, str], m: int) -> SuccessionRule:
+    name = _rule_names().get(canonical_pair(pair))
+    if name is None:
+        raise Unsupported(f"no built-in succession rule covers {pair}")
+    # builtin_rule refuses an m outside the rule's domain
+    return builtin_rule(name, m)
 
 
 def cmd_count(args) -> int:
@@ -101,6 +105,12 @@ def cmd_count(args) -> int:
             raise Unsupported("--bfile needs --nmax")
         if args.method == "all":
             raise Unsupported("--bfile needs one method, not --method all")
+        if args.method == "gentree":
+            # one pass down the tree serves every line
+            for n, profile in enumerate(levels(_rule_for(pair, args.m), args.nmax)):
+                if n:
+                    print(f"{n} {sum(profile.values())}")
+            return 0
         for n in range(1, args.nmax + 1):
             print(f"{n} {_count_one(pair, n, args.m, args.method, cache)}")
         return 0
@@ -144,11 +154,10 @@ def cmd_count(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite in ("table1", "gentree"):
-        kwargs = {"n_max": 4 if args.nmax is None else args.nmax,
-                  "m_max": 3 if args.mmax is None else args.mmax}
-    elif args.nmax is not None or args.mmax is not None:
+    # only the options given: each suite keeps its own default scope
+    kwargs = {key: value for key, value in (("n_max", args.nmax), ("m_max", args.mmax))
+              if value is not None}
+    if kwargs and args.suite not in ("table1", "gentree"):
         raise Unsupported(f"--nmax/--mmax do not apply to --suite {args.suite}")
     if args.report and args.suite != "table1":
         raise Unsupported("--report applies only to --suite table1")
@@ -284,12 +293,8 @@ def cmd_rule(args) -> int:
 def cmd_growth(args) -> int:
     patterns = PatternSet.of(*[p.strip() for p in args.pattern.split(",") if p.strip()])
     grid = [(n, args.m) for n in range(1, args.nmax + 1)]
-    rows = growth_table(patterns, grid)
-    if args.csv:
-        sys.stdout.write(growth_csv(rows))
-        return 0
-    records = [{"n": r.n, "m": r.m, "count": r.count,
-                "ratio": r.formatted_ratio()} for r in rows]
+    records = [{"n": r.n, "m": r.m, "count": r.count, "ratio": f"{r.ratio:.6f}"}
+               for r in growth_table(patterns, grid)]
     _emit(records, ["n", "m", "count", "ratio"], args)
     return 0
 

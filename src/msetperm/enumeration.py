@@ -24,18 +24,15 @@ from typing import Callable, Iterator, Sequence
 from .core import MultisetPermutation, PatternSet, contains
 from .errors import BudgetExceeded
 
-#: Largest permutation length materialized (generate/list) without override.
+#: Largest permutation length materialized (generate/list).
 LIST_LENGTH_BUDGET = 14
-#: Largest permutation length counted with pruning without override.
+#: Largest permutation length counted with pruning.
 COUNT_LENGTH_BUDGET = 18
 
 
-def _check_budget(length: int, budget: int, override: bool) -> None:
-    if length > budget and not override:
-        raise BudgetExceeded(
-            f"length {length} exceeds the budget of {budget}; "
-            f"pass override_budget=True to proceed anyway"
-        )
+def _check_budget(length: int, budget: int) -> None:
+    if length > budget:
+        raise BudgetExceeded(f"length {length} exceeds the budget of {budget}")
 
 
 # -- the two masks of the walk ------------------------------------------------
@@ -151,9 +148,9 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
 
 
 def _list(n: int, mu: tuple[int, ...], patterns: PatternSet,
-          limit: int | None, override: bool) -> list[MultisetPermutation]:
+          limit: int | None) -> list[MultisetPermutation]:
     total = sum(mu)
-    _check_budget(total, LIST_LENGTH_BUDGET, override)
+    _check_budget(total, LIST_LENGTH_BUDGET)
     out: list[MultisetPermutation] = []
 
     def visit(prefix: list[int]) -> bool:
@@ -166,18 +163,16 @@ def _list(n: int, mu: tuple[int, ...], patterns: PatternSet,
 
 # -- public surface ------------------------------------------------------------
 
-def generate_all(n: int, mu: Sequence[int], *, override_budget: bool = False
-                 ) -> Iterator[MultisetPermutation]:
+def generate_all(n: int, mu: Sequence[int]) -> Iterator[MultisetPermutation]:
     """Every permutation of {1^mu(1), ..., n^mu(n)} in lexicographic order:
     the listing walk with no patterns, built in full before it is returned."""
     mu = tuple(mu)
     if n < 0 or len(mu) != n or any(m < 1 for m in mu):
         raise ValueError("need n >= 0 and a positive multiplicity for each letter")
-    return iter(_list(n, mu, PatternSet(()), None, override_budget))
+    return iter(_list(n, mu, PatternSet(()), None))
 
 
-def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence, *,
-                   override_budget: bool = False) -> int:
+def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence) -> int:
     """|{sigma on [n]_m : sigma avoids every pattern}| by pruned search."""
     patterns = _as_pattern_set(patterns)
     if n < 0 or (n > 0 and m < 1):
@@ -187,13 +182,12 @@ def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence, *,
     if len(patterns) == 0:
         # No restriction: the multinomial counts everything.
         return math.factorial(n * m) // math.factorial(m) ** n
-    _check_budget(n * m, COUNT_LENGTH_BUDGET, override_budget)
+    _check_budget(n * m, COUNT_LENGTH_BUDGET)
     return walk(n, (0,) + (m,) * n, n * m, patterns)[n * m]
 
 
 def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence,
-                  limit: int | None = None, *, override_budget: bool = False
-                  ) -> list[MultisetPermutation]:
+                  limit: int | None = None) -> list[MultisetPermutation]:
     """The avoiders themselves, lexicographically, up to limit items."""
     patterns = _as_pattern_set(patterns)
     if n < 0 or (n > 0 and m < 1):
@@ -202,18 +196,18 @@ def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence,
         raise ValueError("need limit >= 0")
     if limit == 0:
         return []
-    return _list(n, (m,) * n, patterns, limit, override_budget)
+    return _list(n, (m,) * n, patterns, limit)
 
 
-def word_counts_by_length(n: int, max_length: int, patterns: PatternSet | Sequence,
-                          *, override_budget: bool = False) -> list[int]:
+def word_counts_by_length(n: int, max_length: int,
+                          patterns: PatternSet | Sequence) -> list[int]:
     """Avoiding words over [n] of every length 0..max_length, counted in one
     walk: words are the prefixes of a search in which every letter may be
     used max_length times."""
     patterns = _as_pattern_set(patterns)
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")
-    _check_budget(max_length, COUNT_LENGTH_BUDGET, override_budget)
+    _check_budget(max_length, COUNT_LENGTH_BUDGET)
     return walk(n, (0,) + (max_length,) * n, max_length, patterns)
 
 

@@ -224,10 +224,10 @@ _ENTRIES = [
            _n1m2, lambda n, m: generalized_catalan(n, m)),
     _entry("211", "213", "generating tree with descent-offset labels; "
            "Pell-like recurrence", "proved-here", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: recurrence_count(_REP_211_213, n, m)),
+           _n1m2, lambda n, m: explicit_count(_REP_211_213, n, m)),
     _entry("122", "213", "generating tree with first-descent labels; "
            "Fibonacci-like recurrence", "proved-here", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: recurrence_count(_REP_122_213, n, m)),
+           _n1m2, lambda n, m: explicit_count(_REP_122_213, n, m)),
     _entry("122", "312", "direct structure: forced prefix block plus one free "
            "insertion", "proved-here", "n >= 1, m >= 2",
            _n1m2, lambda n, m: (n - 1) * m + 1),

@@ -32,9 +32,6 @@ class GrowthRow:
     count: int
     ratio: float  # count**(1/(n*m)); display only, never used in a count
 
-    def formatted_ratio(self) -> str:
-        return f"{self.ratio:.6f}"
-
 
 def _growth_ratio(count: int, length: int) -> float:
     if count <= 0 or length <= 0:
@@ -69,13 +66,6 @@ def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]
         count = _best_count(patterns, n, m)
         rows.append(GrowthRow(n, m, count, _growth_ratio(count, n * m)))
     return rows
-
-
-def growth_csv(rows: Iterable[GrowthRow]) -> str:
-    lines = ["n,m,count,ratio"]
-    for row in rows:
-        lines.append(f"{row.n},{row.m},{row.count},{row.formatted_ratio()}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

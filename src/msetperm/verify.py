@@ -1,14 +1,21 @@
 """Cross-checking suites: every catalogued result against the oracle.
 
 Hard checks cover the proved counting families, the generating trees, the
-bijections, and the growth identities; any failure is a genuine bug (or a
-wrong catalogued formula promoted to proved trust).  Imported and
-report-only rows are never asserted: they get an agreement report that
-records exactly where the quoted formulas match the oracle and where they
-do not.
+bijections with the cardinalities they transfer, and the growth identities;
+any failure is a genuine bug (or a wrong catalogued formula promoted to
+proved trust).  Imported and report-only rows are never asserted: they get
+an agreement report that records exactly where the quoted formulas match
+the oracle and where they do not.
+
+Each check is a generator that yields failure messages in the order it
+works; `_check` turns it into one CheckResult, whose detail is the first
+message, or the check's scope when there is none.  Nothing after the first
+failure is computed.
 
 This module is the one implementation of these checks: the acceptance tests
 run each suite at full scope, and `msetperm verify` at its default scope.
+A suite takes as keywords only the scope that one of those callers sets;
+the rest of its scope is a module constant.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import bijections as bij
 from .classify import canonical_pair, classify_all_length3
@@ -29,12 +36,13 @@ from .core import (
     first_repetition,
     left_to_right_minima,
 )
-from .enumeration import COUNT_LENGTH_BUDGET, count_avoiders, list_avoiders
+from .enumeration import LIST_LENGTH_BUDGET, count_avoiders, list_avoiders
 from .formulas import (
     REGISTRY,
     catalan,
     closed_count,
     explicit_count,
+    generalized_catalan,
     proved_count,
     recurrence_count,
     rothe,
@@ -77,7 +85,25 @@ class AgreementRow:
         return self.formula == self.oracle
 
 
-def _grid(n_max: int, m_max: int, budget: int = COUNT_LENGTH_BUDGET):
+def _check(suite: str, name: str, failures: Iterator[str],
+           passed: str = "") -> CheckResult:
+    """The first failure message as a failed check, else a passed one."""
+    failure = next(failures, None)
+    return CheckResult(suite, name, failure is None,
+                       passed if failure is None else failure)
+
+
+#: Largest n*m that the oracle grids reach, and that of the class vectors.
+_GRID_BUDGET = 12
+_CLASS_BUDGET = 10
+#: Height and largest m of the trees checked against the proved formulas.
+_TALL_N = 60
+_TALL_M = 5
+#: Largest m of the lattice paths.
+_PATH_M = 3
+
+
+def _grid(n_max: int, m_max: int, budget: int = _GRID_BUDGET):
     for m in range(2, m_max + 1):
         for n in range(0, n_max + 1):
             if n * m <= budget:
@@ -93,44 +119,42 @@ _QUOTED_VALUES = {(("122", "321"), 2, 3): 4, (("112", "122"), 3, 2): 5,
 
 # -- table of counting families ---------------------------------------------------
 
-def verify_table1(n_max: int = 4, m_max: int = 3, *,
-                  budget: int = 12) -> list[CheckResult]:
+def _row_failures(entry, cells: Iterable[tuple[int, int]]) -> Iterator[str]:
+    for n, m in cells:
+        oracle = count_avoiders(n, m, PatternSet(entry.pair))
+        claims = {"formula": closed_count(entry.pair, n, m),
+                  "quoted": _QUOTED_VALUES.get((entry.table_pair, n, m))}
+        if n and entry.table_pair in _RECURRENCE_PAIRS:
+            claims["recurrence"] = recurrence_count(entry.pair, n, m)
+        for source, value in claims.items():
+            if value is not None and value != oracle:
+                yield f"{source} {value} != oracle {oracle} at n={n}, m={m}"
+
+
+def verify_table1(n_max: int = 4, m_max: int = 3) -> list[CheckResult]:
     """Hard-check every proved-trust formula, and the recurrence and quoted
     counts of its row, against the oracle."""
     results = []
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         if entry.trust != "proved-here":
             continue
-        mismatches = []
-        cells = 0
-        for n, m in _grid(n_max, m_max, budget):
-            # closed_count counts n = 0 as 1 for every pair
-            if n and not entry.validity(n, m):
-                continue
-            oracle = count_avoiders(n, m, PatternSet(entry.pair))
-            cells += 1
-            claims = {"formula": closed_count(entry.pair, n, m),
-                      "quoted": _QUOTED_VALUES.get((entry.table_pair, n, m))}
-            if n and entry.table_pair in _RECURRENCE_PAIRS:
-                claims["recurrence"] = recurrence_count(entry.pair, n, m)
-            mismatches += [f"{source} {value} != oracle {oracle} at n={n}, m={m}"
-                           for source, value in claims.items()
-                           if value is not None and value != oracle]
+        # closed_count counts n = 0 as 1 for every pair
+        cells = [(n, m) for n, m in _grid(n_max, m_max)
+                 if not n or entry.validity(n, m)]
         name = f"({entry.table_pair[0]},{entry.table_pair[1]})"
-        results.append(CheckResult("table1", name, not mismatches,
-                                   mismatches[0] if mismatches else f"{cells} cells"))
+        results.append(_check("table1", name, _row_failures(entry, cells),
+                              f"{len(cells)} cells"))
     return results
 
 
-def imported_agreement_report(n_max: int = 4, m_max: int = 3, *,
-                              budget: int = 12) -> list[AgreementRow]:
+def imported_agreement_report(n_max: int = 4, m_max: int = 3) -> list[AgreementRow]:
     """Per-cell agreement between quoted (imported/report-only) rows and the
     oracle.  Cells outside a row's stated validity get formula None."""
     rows = []
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         if entry.trust == "proved-here" or not entry.is_servable():
             continue
-        for n, m in _grid(n_max, m_max, budget):
+        for n, m in _grid(n_max, m_max):
             formula = None
             if entry.validity(n, m):
                 formula = entry.evaluator(n, m)
@@ -152,98 +176,161 @@ _LABEL_STATISTICS = {
 }
 
 
-def _tree_levels(name: str, m_max: int, top: Callable[[int], int]
-                 ) -> Iterator[tuple[int, int, Profile]]:
-    """(n, m, profile) for every height n <= top(m) of the rule's tree at
-    each m it takes up to m_max, in one pass per m."""
-    for m in range(2, 3) if name == "112-122@m2" else range(2, m_max + 1):
-        for n, profile in enumerate(levels(builtin_rule(name, m), top(m))):
+def _tree_tops(name: str, m_max: int, top: Callable[[int], int]) -> dict[int, int]:
+    """The top height top(m) at each m up to m_max that the rule takes."""
+    ms = range(2, 3) if name == "112-122@m2" else range(2, m_max + 1)
+    return {m: top(m) for m in ms}
+
+
+def _tree_levels(name: str, tops: dict[int, int]) -> Iterator[tuple[int, int, Profile]]:
+    """(n, m, profile) for every height n <= tops[m] of the rule's tree, in
+    one pass per m."""
+    for m, height in tops.items():
+        for n, profile in enumerate(levels(builtin_rule(name, m), height)):
             yield n, m, profile
 
 
-def verify_gentree(n_max: int = 4, m_max: int = 3, *, tall_n: int = 60,
-                   tall_m: int = 5, budget: int = 12) -> list[CheckResult]:
-    """Trees against the oracle, counts and labels, on the n*m <= budget
-    grid, and against the proved formulas to height tall_n."""
+def _label_failures(name: str, tops: dict[int, int]) -> Iterator[str]:
+    patterns = PatternSet.of(*RULE_PATTERN_PAIRS[name])
+    statistic = _LABEL_STATISTICS[name]
+    for n, m, profile in _tree_levels(name, tops):
+        oracle = Counter(statistic(sigma.letters)
+                         for sigma in list_avoiders(n, m, patterns))
+        if profile != oracle:
+            yield f"labels {profile} != oracle {dict(oracle)} at n={n}, m={m}"
+
+
+def _dead_label_failures(m: int = 4, height: int = 8) -> Iterator[str]:
+    rule = builtin_rule("211-213", m)
+    for h, profile in enumerate(levels(rule, height)):
+        for label in profile:
+            if label not in (1, 2, DEAD):
+                yield f"unexpected label {label} at height {h}"
+    kids = rule.children(2)
+    if not (kids.count(2) == 2 and kids.count(1) == 1
+            and kids.count(DEAD) == m - 2 and len(kids) == m + 1
+            and rule.children(1) == (2,) and rule.children(DEAD) == ()):
+        yield f"children(2) = {kids}"
+
+
+def verify_gentree(n_max: int = 4, m_max: int = 3) -> list[CheckResult]:
+    """Trees against the oracle, counts and labels, on the n*m <= 12 grid,
+    and against the proved formulas to height 60."""
+    def cells(tops: dict[int, int]) -> str:
+        return f"{sum(top + 1 for top in tops.values())} cells"
+
     results = []
     # small grid: trees against the oracle
     for name, pair in RULE_PATTERN_PAIRS.items():
         patterns = PatternSet.of(*pair)
-        bad = None
-        cells = 0
-        for n, m, profile in _tree_levels(name, m_max, lambda m: min(n_max, budget // m)):
-            tree = sum(profile.values())
-            oracle = count_avoiders(n, m, patterns)
-            cells += 1
-            if tree != oracle:
-                bad = f"tree {tree} != oracle {oracle} at n={n}, m={m}"
-                break
-        results.append(CheckResult("gentree", f"{name}-vs-oracle", bad is None,
-                                   bad or f"{cells} cells"))
+        tops = _tree_tops(name, m_max, lambda m: min(n_max, _GRID_BUDGET // m))
+        results.append(_check("gentree", f"{name}-vs-oracle", (
+            f"tree {tree} != oracle {oracle} at n={n}, m={m}"
+            for n, m, profile in _tree_levels(name, tops)
+            if (tree := sum(profile.values()))
+            != (oracle := count_avoiders(n, m, patterns))), cells(tops)))
     # labels: each height's profile is its statistic's distribution
-    for name, statistic in _LABEL_STATISTICS.items():
-        patterns = PatternSet.of(*RULE_PATTERN_PAIRS[name])
-        bad = None
-        cells = 0
-        for n, m, profile in _tree_levels(name, m_max, lambda m: budget // m):
-            oracle = Counter(statistic(sigma.letters)
-                             for sigma in list_avoiders(n, m, patterns))
-            cells += 1
-            if profile != oracle:
-                bad = f"labels {profile} != oracle {dict(oracle)} at n={n}, m={m}"
-                break
-        results.append(CheckResult("gentree", f"{name}-labels", bad is None,
-                                   bad or f"{cells} cells"))
+    for name in _LABEL_STATISTICS:
+        tops = _tree_tops(name, m_max, lambda m: _GRID_BUDGET // m)
+        results.append(_check("gentree", f"{name}-labels",
+                              _label_failures(name, tops), cells(tops)))
     # tall grid: trees against formulas, given each pair's representative
     for name, pair in RULE_PATTERN_PAIRS.items():
         rep = canonical_pair(pair)
-        bad = None
-        for n, m, profile in _tree_levels(name, tall_m, lambda m: tall_n):
-            expected = proved_count(rep, n, m)
-            actual = sum(profile.values())
-            if expected != actual:
-                bad = f"tree {actual} != formula {expected} at n={n}, m={m}"
-                break
-        results.append(CheckResult("gentree", f"{name}-vs-formula", bad is None,
-                                   bad or f"n <= {tall_n}"))
+        tops = _tree_tops(name, _TALL_M, lambda m: _TALL_N)
+        results.append(_check("gentree", f"{name}-vs-formula", (
+            f"tree {actual} != formula {expected} at n={n}, m={m}"
+            for n, m, profile in _tree_levels(name, tops)
+            if (expected := proved_count(rep, n, m))
+            != (actual := sum(profile.values()))), f"n <= {_TALL_N}"))
     # explicit forms match the recurrences they solve; given representatives,
     # neither function calls canonical_pair again
     reps = {pair: canonical_pair(pair) for pair in _RECURRENCE_PAIRS}
-    bad = next(
+    results.append(_check(
+        "gentree", "explicit-vs-recurrence",
         (f"explicit != recurrence at pair={pair}, n={n}, m={m}"
          for pair, rep in reps.items()
          for m in range(2, 7)
          for n in range(1, 201)
          if explicit_count(rep, n, m) != recurrence_count(rep, n, m)),
-        None)
-    results.append(CheckResult("gentree", "explicit-vs-recurrence", bad is None,
-                               bad or "n <= 200, m <= 6"))
+        "n <= 200, m <= 6"))
     # structural shape of the dead-label tree
-    results.append(_check_dead_label_tree())
+    results.append(_check("gentree", "dead-label-shape", _dead_label_failures()))
     return results
-
-
-def _check_dead_label_tree(m: int = 4, height: int = 8) -> CheckResult:
-    rule = builtin_rule("211-213", m)
-    for h, profile in enumerate(levels(rule, height)):
-        for label in profile:
-            if label not in (1, 2, DEAD):
-                return CheckResult("gentree", "dead-label-shape", False,
-                                   f"unexpected label {label} at height {h}")
-    kids = rule.children(2)
-    ok = (kids.count(2) == 2 and kids.count(1) == 1
-          and kids.count(DEAD) == m - 2 and len(kids) == m + 1
-          and rule.children(1) == (2,) and rule.children(DEAD) == ())
-    return CheckResult("gentree", "dead-label-shape", ok,
-                       "" if ok else f"children(2) = {kids}")
 
 
 # -- bijections ----------------------------------------------------------------------
 
-def verify_bijections(*, dyck_n: int = 6, pair_budget: int = 12,
-                      path_n: int = 5, path_m: int = 3) -> list[CheckResult]:
-    results = []
+def _dyck_failures(dyck_n: int) -> Iterator[str]:
+    """Word counts against catalan(n); round trips and images wherever the
+    avoiders are short enough to list."""
+    for n in range(0, dyck_n + 1):
+        words = list(bij.enumerate_dyck_words(n))
+        if 2 * n > LIST_LENGTH_BUDGET:
+            if len(words) != catalan(n):
+                yield f"|words| {len(words)} != catalan at n={n}"
+            continue
+        perms = list_avoiders(n, 2, bij.PAIR_112_122)
+        if len(words) != len(perms) or len(words) != catalan(n):
+            yield f"|words| {len(words)} vs |avoiders| {len(perms)} at n={n}"
+        image = set()
+        for w in words:
+            sigma = bij.dyck_to_perm(w)
+            image.add(sigma.letters)
+            if not avoids_all(sigma, bij.PAIR_112_122):
+                yield f"word image {sigma} of {w} leaves the domain"
+            if str(bij.perm_to_dyck(sigma)) != str(w):
+                yield f"word round trip broke at {w}"
+        if image != {p.letters for p in perms}:
+            yield f"image mismatch at n={n}"
 
+
+def _label_sequence_failures() -> Iterator[str]:
+    for n, m in _grid(_GRID_BUDGET, _GRID_BUDGET // 2):
+        perms = list_avoiders(n, m, bij.PAIR_122_123)
+        seqs = set()
+        for sigma in perms:
+            seq = bij.perm_to_labels(sigma)
+            seqs.add(seq.values)
+            back = bij.labels_to_perm(seq)
+            if back != sigma or not avoids_all(back, bij.PAIR_122_123):
+                yield f"label round trip broke at {sigma}"
+        if n >= 1 and len(seqs) != len(perms):
+            yield f"label sequences collide at n={n}, m={m}"
+
+
+def _path_failures(path_n: int) -> Iterator[str]:
+    for m in range(1, _PATH_M + 1):
+        for n in range(0, path_n + 1):
+            paths = list(bij.enumerate_paths(n, m))
+            if len(paths) != rothe(1, m + 1, n):
+                yield f"|paths| {len(paths)} != rothe at n={n}, m={m}"
+            if len(paths) != generalized_catalan(n, m):
+                yield f"|paths| {len(paths)} != generalized Catalan at n={n}, m={m}"
+            for p in paths:
+                if str(bij.labels_to_path(bij.path_to_labels(p))) != str(p):
+                    yield f"path round trip broke at {p}"
+
+
+def _minima_map_failures() -> Iterator[str]:
+    for n, m in _grid(_GRID_BUDGET, _GRID_BUDGET // 2):
+        sources = list_avoiders(n, m, bij.PAIR_122_132)
+        targets = list_avoiders(n, m, bij.PAIR_122_123)
+        image = set()
+        for sigma in sources:
+            tau = bij.simion_schmidt_f(sigma)
+            image.add(tau.letters)
+            if not avoids_all(tau, bij.PAIR_122_123):
+                yield f"minima map image {tau} of {sigma} leaves the codomain"
+            if bij.simion_schmidt_g(tau) != sigma:
+                yield f"minima map round trip broke at {sigma}"
+            if left_to_right_minima(tau) != left_to_right_minima(sigma):
+                yield f"minima moved at {sigma}"
+        if image != {t.letters for t in targets}:
+            yield f"minima map not onto at n={n}, m={m}"
+
+
+def verify_bijections(*, dyck_n: int = 6, path_n: int = 5) -> list[CheckResult]:
     # the three worked examples, byte for byte
     worked = (
         str(bij.dyck_to_perm(bij.DyckWord("XYXXYXYY"))) == "44323121"
@@ -252,162 +339,73 @@ def verify_bijections(*, dyck_n: int = 6, pair_budget: int = 12,
         and str(bij.perm_to_labels(MultisetPermutation.parse("443322421311"))) == "1,4,7,7,7"
         and str(bij.labels_to_perm(bij.LabelSequence.parse("1,4,7,7,7", 3))) == "443322421311"
     )
-    results.append(CheckResult("bijections", "worked-examples", worked))
-
-    # words <-> permutations, exhaustively
-    bad = None
-    for n in range(0, dyck_n + 1):
-        words = list(bij.enumerate_dyck_words(n))
-        perms = list_avoiders(n, 2, bij.PAIR_112_122)
-        if len(words) != len(perms) or len(words) != catalan(n):
-            bad = f"|words| {len(words)} vs |avoiders| {len(perms)} at n={n}"
-            break
-        image = set()
-        for w in words:
-            sigma = bij.dyck_to_perm(w)
-            image.add(sigma.letters)
-            if not avoids_all(sigma, bij.PAIR_112_122):
-                bad = f"word image {sigma} of {w} leaves the domain"
-                break
-            if str(bij.perm_to_dyck(sigma)) != str(w):
-                bad = f"word round trip broke at {w}"
-                break
-        if bad is None and image != {p.letters for p in perms}:
-            bad = f"image mismatch at n={n}"
-        if bad:
-            break
-    results.append(CheckResult("bijections", "dyck-round-trip", bad is None,
-                               bad or f"n <= {dyck_n}"))
-
-    # label sequences <-> permutations, exhaustively on the budget grid
-    bad = None
-    for n, m in _grid(pair_budget, pair_budget // 2, pair_budget):
-        perms = list_avoiders(n, m, bij.PAIR_122_123)
-        seqs = set()
-        for sigma in perms:
-            seq = bij.perm_to_labels(sigma)
-            seqs.add(seq.values)
-            back = bij.labels_to_perm(seq)
-            if back != sigma or not avoids_all(back, bij.PAIR_122_123):
-                bad = f"label round trip broke at {sigma}"
-                break
-        if bad is None and n >= 1 and len(seqs) != len(perms):
-            bad = f"label sequences collide at n={n}, m={m}"
-        if bad:
-            break
-    results.append(CheckResult("bijections", "label-round-trip", bad is None,
-                               bad or f"n*m <= {pair_budget}"))
-
-    # lattice paths <-> label sequences, exhaustively
-    bad = None
-    for m in range(1, path_m + 1):
-        for n in range(0, path_n + 1):
-            paths = list(bij.enumerate_paths(n, m))
-            if len(paths) != rothe(1, m + 1, n):
-                bad = f"|paths| {len(paths)} != rothe at n={n}, m={m}"
-                break
-            for p in paths:
-                seq = bij.path_to_labels(p)
-                if str(bij.labels_to_path(seq)) != str(p):
-                    bad = f"path round trip broke at {p}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    results.append(CheckResult("bijections", "path-round-trip", bad is None,
-                               bad or f"n <= {path_n}, m <= {path_m}"))
-
-    # the minima-fixing map, exhaustively
-    bad = None
-    for n, m in _grid(pair_budget, pair_budget // 2, pair_budget):
-        sources = list_avoiders(n, m, bij.PAIR_122_132)
-        targets = list_avoiders(n, m, bij.PAIR_122_123)
-        image = set()
-        for sigma in sources:
-            tau = bij.simion_schmidt_f(sigma)
-            image.add(tau.letters)
-            if not avoids_all(tau, bij.PAIR_122_123):
-                bad = f"minima map image {tau} of {sigma} leaves the codomain"
-                break
-            if bij.simion_schmidt_g(tau) != sigma:
-                bad = f"minima map round trip broke at {sigma}"
-                break
-            if left_to_right_minima(tau) != left_to_right_minima(sigma):
-                bad = f"minima moved at {sigma}"
-                break
-        if bad is None and image != {t.letters for t in targets}:
-            bad = f"minima map not onto at n={n}, m={m}"
-        if bad:
-            break
-    results.append(CheckResult("bijections", "minima-map", bad is None,
-                               bad or f"n*m <= {pair_budget}"))
-    return results
+    grid = f"n*m <= {_GRID_BUDGET}"
+    return [
+        CheckResult("bijections", "worked-examples", worked),
+        _check("bijections", "dyck-round-trip", _dyck_failures(dyck_n),
+               f"n <= {dyck_n}"),
+        _check("bijections", "label-round-trip", _label_sequence_failures(), grid),
+        _check("bijections", "path-round-trip", _path_failures(path_n),
+               f"n <= {path_n}, m <= {_PATH_M}"),
+        _check("bijections", "minima-map", _minima_map_failures(), grid),
+    ]
 
 
 # -- growth ---------------------------------------------------------------------------
 
-def verify_growth(*, budget: int = 12, word_max: int = 10) -> list[CheckResult]:
-    results = []
-    bad = None
-    for n, m in _grid(budget, 3, budget):
+def _stirling_failures() -> Iterator[str]:
+    for n, m in _grid(_GRID_BUDGET, 3):
         verdict = check_stirling_identity(n, m)
         if not verdict.equal:
-            bad = (f"enumeration {verdict.enumerated} != formula "
+            yield (f"enumeration {verdict.enumerated} != formula "
                    f"{verdict.formula} at n={n}, m={m}")
-            break
-    if bad is None and stirling_count(2, 2) != 3:
-        bad = f"s_{{2,2}}(212) = {stirling_count(2, 2)}, quoted as 3"
-    results.append(CheckResult("growth", "stirling-identity", bad is None,
-                               bad or f"n*m <= {budget}"))
+    if stirling_count(2, 2) != 3:
+        yield f"s_{{2,2}}(212) = {stirling_count(2, 2)}, quoted as 3"
 
-    bad = None
-    for n, m in _grid(budget, 3, budget):
-        oracle = count_avoiders(n, m, PatternSet.of("212", "121"))
-        if oracle != math.factorial(n):
-            bad = f"oracle {oracle} != {n}! at n={n}, m={m}"
-            break
-    results.append(CheckResult("growth", "block-permutation-count", bad is None,
-                               bad or f"n*m <= {budget}"))
 
-    bad = None
+def _ascent_free_failures(word_max: int) -> Iterator[str]:
     for n in range(1, word_max + 1):
         counts = word_counts_by_length(n, word_max, PatternSet.of("12"))
         for length in range(1, word_max + 1):
             if counts[length] != math.comb(n + length - 1, length):
-                bad = f"word count {counts[length]} != binomial at l={length}, n={n}"
-                break
-        if bad:
-            break
-    results.append(CheckResult("growth", "ascent-free-words", bad is None,
-                               bad or f"l, n <= {word_max}"))
-    return results
+                yield f"word count {counts[length]} != binomial at l={length}, n={n}"
+
+
+def verify_growth(*, word_max: int = 10) -> list[CheckResult]:
+    grid = f"n*m <= {_GRID_BUDGET}"
+    return [
+        _check("growth", "stirling-identity", _stirling_failures(), grid),
+        _check("growth", "block-permutation-count", (
+            f"oracle {oracle} != {n}! at n={n}, m={m}"
+            for n, m in _grid(_GRID_BUDGET, 3)
+            if (oracle := count_avoiders(n, m, PatternSet.of("212", "121")))
+            != math.factorial(n)), grid),
+        _check("growth", "ascent-free-words", _ascent_free_failures(word_max),
+               f"l, n <= {word_max}"),
+    ]
 
 
 # -- classification -----------------------------------------------------------------
 
-def verify_classify(*, budget: int = 10) -> list[CheckResult]:
-    results = []
+def _class_failures(classes) -> Iterator[str]:
+    cells = list(_grid(_CLASS_BUDGET, _CLASS_BUDGET, _CLASS_BUDGET))
+    for cls in classes:
+        vectors = (tuple(count_avoiders(n, m, PatternSet(member)) for n, m in cells)
+                   for member in cls.members)
+        base = next(vectors)
+        if any(vec != base for vec in vectors):
+            yield f"counts differ inside class {cls}"
+
+
+def verify_classify() -> list[CheckResult]:
     classes = classify_all_length3()
     total = sum(len(c.members) for c in classes)
-    results.append(CheckResult("classify", "pair-universe", total == 66,
-                               f"{total} pairs in {len(classes)} classes"))
-    cells = list(_grid(budget, budget, budget))
-    bad = None
-    for cls in classes:
-        base = None
-        for member in cls.members:
-            vec = tuple(count_avoiders(n, m, PatternSet(member)) for n, m in cells)
-            if base is None:
-                base = vec
-            elif vec != base:
-                bad = f"counts differ inside class {cls}"
-                break
-        if bad:
-            break
-    results.append(CheckResult("classify", "within-class-equality", bad is None,
-                               bad or f"n*m <= {budget}"))
-    return results
+    return [
+        CheckResult("classify", "pair-universe", total == 66,
+                    f"{total} pairs in {len(classes)} classes"),
+        _check("classify", "within-class-equality", _class_failures(classes),
+               f"n*m <= {_CLASS_BUDGET}"),
+    ]
 
 
 SUITES = {

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import msetperm
+from msetperm import formulas
 from msetperm.cache import CountCache
 from msetperm.cli import build_parser, main
+from msetperm.gentree import SuccessionRule, builtin_rule, count_at_height
 
 
 def run_cli(capsys, *argv):
@@ -91,7 +93,17 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--pair", "123,132",
                                "--n", "12", "--m", "2", "--method", "oracle",
                                "--no-cache")
-        assert code == 4 and "budget" in err
+        assert code == 4
+        assert err.strip() == "budget exceeded: length 24 exceeds the budget of 18"
+
+    def test_formula_does_not_run_the_recurrence(self, capsys, monkeypatch):
+        # the (211,213) and (122,213) rows serve the closed Binet forms, so
+        # --method all compares four different computations
+        monkeypatch.setattr(formulas, "recurrence_count", lambda pair, n, m: -1)
+        for pair, expected in (("211,213", 53), ("122,213", 142)):
+            code, out, _ = run_cli(capsys, "count", "--pair", pair, "--n", "5",
+                                   "--m", "3", "--method", "formula", "--no-cache")
+            assert code == 0 and out == f"{expected}\n", pair
 
     def test_bfile_output(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--pair", "122,123",
@@ -109,6 +121,19 @@ class TestCount:
         assert {r["method"] for r in records} >= {"oracle", "formula",
                                                   "recurrence", "gentree"}
         assert all(r["count"] == 7 for r in records)
+
+    def test_bfile_gentree_walks_the_tree_once(self, capsys, monkeypatch):
+        expected = [f"{n} {count_at_height(builtin_rule('122-213', 3), n)}"
+                    for n in range(1, 31)]
+        steps = []
+        step = SuccessionRule.step
+        monkeypatch.setattr(SuccessionRule, "step",
+                            lambda rule, profile: steps.append(1) or step(rule, profile))
+        code, out, _ = run_cli(capsys, "count", "--pair", "122,213", "--m", "3",
+                               "--bfile", "--nmax", "30", "--method", "gentree",
+                               "--no-cache")
+        assert code == 0 and out.splitlines() == expected
+        assert len(steps) == 30
 
     def test_bfile_refuses_method_all(self, capsys):
         code, out, err = run_cli(capsys, "count", "--pair", "122,123", "--m", "2",
@@ -268,7 +293,7 @@ class TestOtherCommands:
         import io
         code, out, _ = run_cli(capsys, "table", "--nmax", "3", "--mmax", "2",
                                "--csv")
-        assert code == 0
+        assert code == 0 and "\r" not in out  # one CSV writer, "\n" line ends
         rows = list(csvmod.reader(io.StringIO(out)))
         line = next(r for r in rows if r[0] == "112,122")
         assert line[2:5] == ["1", "2", "5"]
@@ -292,6 +317,18 @@ class TestOtherCommands:
                                "--m", "1", "--nmax", "4", "--csv")
         assert code == 0
         assert [l.split(",")[2] for l in out.splitlines()[1:]] == ["1"] * 4
+
+    def test_growth_csv_shape(self, capsys):
+        code, out, _ = run_cli(capsys, "growth", "--pattern", "212", "--m", "2",
+                               "--nmax", "3", "--csv")
+        assert code == 0
+        assert "\r" not in out and out.endswith("\n")
+        lines = out.splitlines()
+        assert lines[0] == "n,m,count,ratio"
+        assert lines[2].startswith("2,2,3,")
+        assert len(lines) == 4
+        # six decimal places in the display column
+        assert all(len(line.rsplit(".", 1)[1]) == 6 for line in lines[1:])
 
     def test_verify_suites_exit_zero(self, capsys):
         for suite in ("table1", "gentree", "bijections", "growth", "classify"):

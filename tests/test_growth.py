@@ -9,7 +9,6 @@ from msetperm.formulas import generalized_catalan
 from msetperm.growth import (
     check_stirling_identity,
     count_words_avoiding,
-    growth_csv,
     growth_table,
     word_counterexample_probe,
     word_counts_by_length,
@@ -126,13 +125,3 @@ class TestGrowthTable:
         rows = growth_table(PatternSet.of(*pair),
                             [(n, 2) for n in range(1, len(counts) + 1)])
         assert [r.count for r in rows] == counts
-
-    def test_csv_shape(self):
-        rows = growth_table(PatternSet.of("212"), [(2, 2), (3, 2)])
-        text = growth_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0] == "n,m,count,ratio"
-        assert lines[1].startswith("2,2,3,")
-        assert len(lines) == 3
-        # six decimal places in the display column
-        assert len(lines[1].rsplit(".", 1)[1]) == 6
