@@ -35,7 +35,13 @@ from .errors import (
     OutOfDomain,
     Unsupported,
 )
-from .formulas import REGISTRY, catalog, proved_count, recurrence_count
+from .formulas import (
+    REGISTRY,
+    _recurrence_terms,
+    catalog,
+    proved_count,
+    recurrence_count,
+)
 from .gentree import RULE_PATTERN_PAIRS, SuccessionRule, builtin_rule, count_at_height, levels
 from .growth import growth_table
 from .verify import CheckResult, imported_agreement_report, run_suite
@@ -110,6 +116,11 @@ def cmd_count(args) -> int:
             for n, profile in enumerate(levels(_rule_for(pair, args.m), args.nmax)):
                 if n:
                     print(f"{n} {sum(profile.values())}")
+            return 0
+        if args.method == "recurrence" and args.nmax:
+            # one pass of the recurrence serves every line
+            for n, value in enumerate(_recurrence_terms(pair, args.nmax, args.m), 1):
+                print(f"{n} {value}")
             return 0
         for n in range(1, args.nmax + 1):
             print(f"{n} {_count_one(pair, n, args.m, args.method, cache)}")

@@ -1,7 +1,7 @@
 """Brute-force oracle: generate, count, and list pattern-avoiding permutations.
 
 One walk serves counting, listing, generation (no patterns) and word
-counting (each letter's capacity raised to the word length).  It visits the
+counting (each letter's capacity raised above the word length).  It visits the
 prefix tree depth first and never extends a prefix that already contains a
 forbidden pattern.  This is sound because containment is monotone under
 appending letters.  When every letter must be placed (counting, listing and
@@ -12,6 +12,14 @@ masks: the letters seen and the letters whose appending would complete a
 pattern.  For the canonical patterns of length 2 and 3 the second mask grows
 by an O(1) term at each appended letter; the pattern 1 and anything of
 length 4 or more fall back to a direct containment check.
+
+A count with no visit callback, in which every letter must be placed and
+every pattern has an O(1) term, takes the walk's memo branch: the number of
+completions below a live prefix depends only on what each letter has left,
+so each such number is computed once per call.  count_avoiders is that
+case; listing, generation, word counting, the pattern 1 and patterns of
+length 4 or more keep the plain walk.  The memo branch fills only the count
+at full length.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -69,6 +77,10 @@ _BLOCKS: dict[tuple[int, ...], Callable[[int, int, int, bool], int]] = {
 }
 
 
+class _Stop(Exception):
+    """Raised inside walk when visit asks to stop."""
+
+
 def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
          visit: Callable[[list[int]], bool] | None = None) -> list[int]:
     """The package's one prefix search over prefixes that use each letter c
@@ -91,6 +103,19 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     pattern without an entry (1, or length 4 or more) is tested directly on
     the prefix plus each candidate letter.
 
+    The memo branch.  When there is no visit, the capacities add up to depth
+    and every pattern has a _BLOCKS entry, a live prefix's blocked mask
+    meets no letter with copies left, and every _BLOCKS term reads only the
+    appended letter, present and again.  So the number of completions below
+    a live prefix depends only on what each letter has left, and the walk
+    memoizes it for the length of one call, keyed on the remaining counts.
+    Where two adjacent letters are exhausted, each run of adjacent exhausted
+    letters is merged into one 0 marker: the terms compare letters only by
+    order, and an exhausted letter is never appended again.  As the merge
+    moves letters, every other letter then also carries its placed count
+    capped at 2, which is all that present and again read.  This branch
+    fills counts[depth] alone.
+
     visit(prefix) sees each full-length prefix in lexicographic order (copy
     it to keep it); a False return stops the search, leaving the counts
     partial.
@@ -98,32 +123,62 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     fast = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
     slow = [p for p in patterns if p.letters not in _BLOCKS]
     dead_if_blocked = sum(capacity) == depth
+    memo: dict[tuple[int, ...], int] | None = \
+        {} if visit is None and dead_if_blocked and not slow else None
     counts = [1] + [0] * depth
     remaining = list(capacity)
     prefix: list[int] = []
 
-    def rec(present: int, blocked: int, d: int, letters_left: int) -> bool:
-        """Walk below the current prefix, whose letters are the bits of
-        present and whose unplaced letters are the bits of letters_left;
-        False once visit asks to stop."""
+    def key(exhausted: int) -> tuple[int, ...]:
+        """The memo key of the current prefix, whose exhausted letters are
+        the bits of exhausted."""
+        if not exhausted & exhausted >> 1:
+            # no run to merge; within one call the capacities are fixed, so
+            # the remaining counts say what present and again will read
+            return tuple(remaining)
+        # shorter than any unmerged key, so the two kinds never meet; a
+        # letter of capacity 0 is never present nor placed, so it is left out
+        out: list[int] = []
+        for c in range(1, n + 1):
+            left = remaining[c]
+            if left:
+                out.append(3 * left + min(capacity[c] - left, 2))
+            elif capacity[c] and (not out or out[-1]):
+                out.append(0)
+        return tuple(out)
+
+    def rec(present: int, blocked: int, d: int, letters_left: int) -> int:
+        """The number of full-length completions of the current prefix,
+        whose letters are the bits of present and whose unplaced letters
+        are the bits of letters_left."""
         free = letters_left & ~blocked
         if slow:
             for c in range(1, n + 1):
                 if free >> c & 1 and any(contains(prefix + [c], p) for p in slow):
                     free ^= 1 << c
         if dead_if_blocked and free != letters_left:
-            return True
-        counts[d + 1] += free.bit_count()
+            return 0
+        width = free.bit_count()
+        if memo is None:
+            counts[d + 1] += width
         last = d + 1 == depth
         if last and visit is None:
-            return True
+            return width
+        if memo is not None:
+            state = key(present & ~letters_left)
+            total = memo.get(state)
+            if total is not None:
+                return total
+        total = 0
         while free:
             low = free & -free
             free ^= low
             c = low.bit_length() - 1
             prefix.append(c)
             if last:
-                keep = visit(prefix)
+                if not visit(prefix):
+                    raise _Stop
+                total += 1
             else:
                 remaining[c] -= 1
                 lower, upper = present & (low - 1), present & -(low << 1)
@@ -131,19 +186,25 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
                 child = blocked
                 for block in fast:
                     child |= block(low, lower, upper, again)
-                keep = rec(present | low, child, d + 1,
-                           letters_left if remaining[c] else letters_left ^ low)
+                total += rec(present | low, child, d + 1,
+                             letters_left if remaining[c] else letters_left ^ low)
                 remaining[c] += 1
             prefix.pop()
-            if not keep:
-                return False
-        return True
+        if memo is not None:
+            memo[state] = total
+        return total
 
     if depth == 0:
         if visit is not None:
             visit(prefix)
-    else:
-        rec(0, 0, 0, sum(1 << c for c in range(1, n + 1) if capacity[c]))
+        return counts
+    try:
+        total = rec(0, 0, 0, sum(1 << c for c in range(1, n + 1) if capacity[c]))
+    except _Stop:
+        return counts
+    if memo is not None:
+        # the memo branch counts whole permutations only, not the levels
+        counts[depth] = total
     return counts
 
 
@@ -203,12 +264,15 @@ def word_counts_by_length(n: int, max_length: int,
                           patterns: PatternSet | Sequence) -> list[int]:
     """Avoiding words over [n] of every length 0..max_length, counted in one
     walk: words are the prefixes of a search in which every letter may be
-    used max_length times."""
+    used max_length + 1 times.  Only the depth bounds a word's length, and
+    the capacities never add up to the depth (not even at n = 1), so the
+    walk neither drops dead prefixes nor takes its memo branch, and every
+    level's count is whole."""
     patterns = _as_pattern_set(patterns)
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")
     _check_budget(max_length, COUNT_LENGTH_BUDGET)
-    return walk(n, (0,) + (max_length,) * n, max_length, patterns)
+    return walk(n, (0,) + (max_length + 1,) * n, max_length, patterns)
 
 
 def _as_pattern_set(patterns) -> PatternSet:

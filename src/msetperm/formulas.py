@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .classify import Pair, canonical_pair
 from .core import Pattern
@@ -91,8 +91,9 @@ def _family(pair) -> Pair:
     raise Unsupported(f"no two-term recurrence is catalogued for {rep[0]},{rep[1]}")
 
 
-def recurrence_count(pair, n: int, m: int) -> BigCount:
-    """Iterate s_n = coeff * s_{n-1} + s_{n-2} from s_1 = 1, s_2 = m + 1.
+def _recurrence_terms(pair, n: int, m: int) -> Iterator[BigCount]:
+    """s_1, ..., s_n of s_k = coeff * s_{k-1} + s_{k-2}, from s_1 = 1 and
+    s_2 = m + 1, in one pass.
 
     coeff is 2 for the (211,213) family and m for the (122,213) family;
     the two coincide at m = 2.
@@ -100,12 +101,17 @@ def recurrence_count(pair, n: int, m: int) -> BigCount:
     coeff = 2 if _family(pair) == _REP_211_213 else m
     if n < 1 or m < 2:
         raise OutOfDomain("recurrences are stated for n >= 1, m >= 2")
-    if n == 1:
-        return 1
     prev, cur = 1, m + 1
-    for _ in range(n - 2):
+    for _ in range(n):
+        yield prev
         prev, cur = cur, coeff * cur + prev
-    return cur
+
+
+def recurrence_count(pair, n: int, m: int) -> BigCount:
+    """s_n of the family's recurrence: the last of its terms s_1..s_n."""
+    for value in _recurrence_terms(pair, n, m):
+        pass
+    return value
 
 
 def _quadratic_power(a: int, b: int, d: int, e: int) -> tuple[int, int]:

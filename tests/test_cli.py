@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import msetperm
-from msetperm import formulas
+from msetperm import cli, formulas
 from msetperm.cache import CountCache
 from msetperm.cli import build_parser, main
 from msetperm.gentree import SuccessionRule, builtin_rule, count_at_height
@@ -134,6 +134,20 @@ class TestCount:
                                "--no-cache")
         assert code == 0 and out.splitlines() == expected
         assert len(steps) == 30
+
+    def test_bfile_recurrence_iterates_once(self, capsys, monkeypatch):
+        expected = [f"{n} {formulas.recurrence_count(('211', '213'), n, 3)}"
+                    for n in range(1, 41)]
+        calls = []
+        count = formulas.recurrence_count
+        counted = lambda pair, n, m: calls.append(n) or count(pair, n, m)
+        monkeypatch.setattr(formulas, "recurrence_count", counted)
+        monkeypatch.setattr(cli, "recurrence_count", counted)
+        code, out, _ = run_cli(capsys, "count", "--pair", "211,213", "--m", "3",
+                               "--bfile", "--nmax", "40", "--method", "recurrence",
+                               "--no-cache")
+        assert code == 0 and out.splitlines() == expected
+        assert len(calls) <= 1
 
     def test_bfile_refuses_method_all(self, capsys):
         code, out, err = run_cli(capsys, "count", "--pair", "122,123", "--m", "2",

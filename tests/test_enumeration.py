@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msetperm.core import LENGTH3_PATTERNS, PatternSet, TRIPLE_REPEAT
 from msetperm.enumeration import (
@@ -14,7 +14,13 @@ from msetperm.enumeration import (
 )
 from msetperm.errors import BudgetExceeded
 
-from reference import all_multiset_perms, naive_avoids, naive_count, naive_list
+from reference import (
+    all_multiset_perms,
+    naive_avoids,
+    naive_count,
+    naive_list,
+    naive_word_count,
+)
 
 
 def test_generate_all_small():
@@ -185,3 +191,58 @@ def test_walk_drops_only_dead_prefixes_on_irregular_multisets(mu, ps):
     assert seen == naive
     assert counts[depth] == len(naive)
     assert walk(len(mu), capacity, depth, ps)[depth] == len(naive)
+
+
+# -- the memo branch of the walk ----------------------------------------------
+
+def _multinomial(mu):
+    return math.factorial(sum(mu)) // math.prod(math.factorial(k) for k in mu)
+
+
+#: One or two patterns of length 2 or 3: each has an O(1) blocked-letter
+#: term, so a count with no visit takes the walk's memo branch.
+memo_pattern_sets = st.lists(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=3),
+    min_size=1, max_size=2,
+).map(lambda specs: PatternSet.of(*specs))
+#: Regular multisets [n]_m and irregular ones, at most 9 copies in all and
+#: few enough permutations for the naive reference.
+memo_multisets = st.one_of(
+    st.sampled_from([(m,) * n for n in range(1, 10) for m in range(1, 5)
+                     if n * m <= 9 and _multinomial((m,) * n) <= 2520]),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=6)
+    .filter(lambda mu: sum(mu) <= 9 and _multinomial(mu) <= 2520),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(memo_multisets, memo_pattern_sets)
+# merging a run of exhausted letters shifts the letters above it, so with
+# irregular capacities the key must also say how many copies each letter has
+# placed, not only how many are left
+@example((1, 1, 2, 1, 1), PatternSet.of("112", "122"))
+def test_memo_branch_matches_plain_walk_and_reference(mu, ps):
+    capacity, depth = (0,) + tuple(mu), sum(mu)
+    memoized = walk(len(mu), capacity, depth, ps)[depth]
+    visited = []
+    walk(len(mu), capacity, depth, ps, lambda prefix: visited.append(1) or True)
+    naive = sum(1 for s in all_multiset_perms(mu)
+                if naive_avoids(s, [p.letters for p in ps]))
+    assert memoized == len(visited) == naive
+
+
+def test_memo_branch_fills_only_the_full_length_count():
+    ps = PatternSet.of("122", "213")
+    assert walk(3, (0, 2, 2, 2), 6, ps) == [1, 0, 0, 0, 0, 0, count_avoiders(3, 2, ps)]
+
+
+@pytest.mark.parametrize("n,max_length", [(0, 7), (1, 7), (2, 7), (3, 5)])
+def test_word_counts_match_naive_reference_at_every_length(n, max_length):
+    # at n = 1 a letter capacity of max_length would add up to the depth,
+    # and the walk would drop dead prefixes and take its memo branch
+    for ps in _pair_patterns() + [PatternSet((TRIPLE_REPEAT, p))
+                                  for p in LENGTH3_PATTERNS]:
+        raw = [p.letters for p in ps]
+        assert word_counts_by_length(n, max_length, ps) == \
+            [naive_word_count(n, length, raw) for length in range(max_length + 1)], \
+            f"{ps} at n={n}"
