@@ -117,7 +117,7 @@ def cmd_count(args) -> int:
                 if n:
                     print(f"{n} {sum(profile.values())}")
             return 0
-        if args.method == "recurrence" and args.nmax:
+        if args.method == "recurrence":
             # one pass of the recurrence serves every line
             for n, value in enumerate(_recurrence_terms(pair, args.nmax, args.m), 1):
                 print(f"{n} {value}")

@@ -18,8 +18,7 @@ every pattern has an O(1) term, takes the walk's memo branch: the number of
 completions below a live prefix depends only on what each letter has left,
 so each such number is computed once per call.  count_avoiders is that
 case; listing, generation, word counting, the pattern 1 and patterns of
-length 4 or more keep the plain walk.  The memo branch fills only the count
-at full length.
+length 4 or more keep the plain walk.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -85,7 +84,7 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
          visit: Callable[[list[int]], bool] | None = None) -> list[int]:
     """The package's one prefix search over prefixes that use each letter c
     at most capacity[c] times (capacity is 1-indexed by letter).  counts[d]
-    is the number of avoidance-clean prefixes of length d that it reached.
+    is the number of avoidance-clean prefixes of length d.
 
     A prefix that contains a pattern is never extended, and the last level
     is only counted, never advanced.  When the capacities add up to depth,
@@ -93,10 +92,8 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     letter with copies left would complete a pattern is dead: appending it
     later still completes the pattern, because the prefix plus that letter
     is a subsequence of every completion.  Such a prefix is not expanded,
-    its children are not counted, and counts[d] for d < depth counts only
-    the clean prefixes of length d whose proper prefixes are all live, so
-    callers read counts[depth] alone.  Otherwise (word counting) counts[d]
-    is every clean prefix of length d.
+    and only the full length is counted: counts[d] for d < depth is 0.
+    Otherwise (word counting) every level is counted.
 
     Each node's children are the letters with copies left that are not in
     its blocked mask, the union of the _BLOCKS terms of its letters; a
@@ -106,19 +103,15 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     The memo branch.  When there is no visit, the capacities add up to depth
     and every pattern has a _BLOCKS entry, a live prefix's blocked mask
     meets no letter with copies left, and every _BLOCKS term reads only the
-    appended letter, present and again.  So the number of completions below
-    a live prefix depends only on what each letter has left, and the walk
-    memoizes it for the length of one call, keyed on the remaining counts.
-    Where two adjacent letters are exhausted, each run of adjacent exhausted
-    letters is merged into one 0 marker: the terms compare letters only by
-    order, and an exhausted letter is never appended again.  As the merge
-    moves letters, every other letter then also carries its placed count
-    capped at 2, which is all that present and again read.  This branch
-    fills counts[depth] alone.
+    appended letter, present and again.  Within one call the capacities are
+    fixed, so the remaining counts say what present and again will read, and
+    the number of completions below a live prefix depends on them alone.
+    The walk memoizes it for the length of one call, keyed on the tuple of
+    remaining counts.
 
     visit(prefix) sees each full-length prefix in lexicographic order (copy
     it to keep it); a False return stops the search, leaving the counts
-    partial.
+    partial or 0.
     """
     fast = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
     slow = [p for p in patterns if p.letters not in _BLOCKS]
@@ -129,24 +122,6 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     remaining = list(capacity)
     prefix: list[int] = []
 
-    def key(exhausted: int) -> tuple[int, ...]:
-        """The memo key of the current prefix, whose exhausted letters are
-        the bits of exhausted."""
-        if not exhausted & exhausted >> 1:
-            # no run to merge; within one call the capacities are fixed, so
-            # the remaining counts say what present and again will read
-            return tuple(remaining)
-        # shorter than any unmerged key, so the two kinds never meet; a
-        # letter of capacity 0 is never present nor placed, so it is left out
-        out: list[int] = []
-        for c in range(1, n + 1):
-            left = remaining[c]
-            if left:
-                out.append(3 * left + min(capacity[c] - left, 2))
-            elif capacity[c] and (not out or out[-1]):
-                out.append(0)
-        return tuple(out)
-
     def rec(present: int, blocked: int, d: int, letters_left: int) -> int:
         """The number of full-length completions of the current prefix,
         whose letters are the bits of present and whose unplaced letters
@@ -156,16 +131,16 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
             for c in range(1, n + 1):
                 if free >> c & 1 and any(contains(prefix + [c], p) for p in slow):
                     free ^= 1 << c
-        if dead_if_blocked and free != letters_left:
-            return 0
-        width = free.bit_count()
-        if memo is None:
-            counts[d + 1] += width
+        if dead_if_blocked:
+            if free != letters_left:
+                return 0
+        else:
+            counts[d + 1] += free.bit_count()
         last = d + 1 == depth
         if last and visit is None:
-            return width
+            return free.bit_count()
         if memo is not None:
-            state = key(present & ~letters_left)
+            state = tuple(remaining)
             total = memo.get(state)
             if total is not None:
                 return total
@@ -202,8 +177,7 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
         total = rec(0, 0, 0, sum(1 << c for c in range(1, n + 1) if capacity[c]))
     except _Stop:
         return counts
-    if memo is not None:
-        # the memo branch counts whole permutations only, not the levels
+    if dead_if_blocked:
         counts[depth] = total
     return counts
 
@@ -264,10 +238,8 @@ def word_counts_by_length(n: int, max_length: int,
                           patterns: PatternSet | Sequence) -> list[int]:
     """Avoiding words over [n] of every length 0..max_length, counted in one
     walk: words are the prefixes of a search in which every letter may be
-    used max_length + 1 times.  Only the depth bounds a word's length, and
-    the capacities never add up to the depth (not even at n = 1), so the
-    walk neither drops dead prefixes nor takes its memo branch, and every
-    level's count is whole."""
+    used max_length + 1 times.  So the capacities never add up to the depth,
+    not even at n = 1, and walk counts every level."""
     patterns = _as_pattern_set(patterns)
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")

@@ -93,13 +93,13 @@ def _family(pair) -> Pair:
 
 def _recurrence_terms(pair, n: int, m: int) -> Iterator[BigCount]:
     """s_1, ..., s_n of s_k = coeff * s_{k-1} + s_{k-2}, from s_1 = 1 and
-    s_2 = m + 1, in one pass.
+    s_2 = m + 1, in one pass; nothing when n = 0.
 
     coeff is 2 for the (211,213) family and m for the (122,213) family;
     the two coincide at m = 2.
     """
     coeff = 2 if _family(pair) == _REP_211_213 else m
-    if n < 1 or m < 2:
+    if m < 2:
         raise OutOfDomain("recurrences are stated for n >= 1, m >= 2")
     prev, cur = 1, m + 1
     for _ in range(n):
@@ -109,6 +109,8 @@ def _recurrence_terms(pair, n: int, m: int) -> Iterator[BigCount]:
 
 def recurrence_count(pair, n: int, m: int) -> BigCount:
     """s_n of the family's recurrence: the last of its terms s_1..s_n."""
+    if n < 1:
+        raise OutOfDomain("recurrences are stated for n >= 1, m >= 2")
     for value in _recurrence_terms(pair, n, m):
         pass
     return value
