@@ -356,8 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a cross-checking suite")
     p.add_argument("--suite", required=True,
                    choices=["table1", "gentree", "bijections", "growth", "classify"])
-    p.add_argument("--nmax", type=_nonnegative)
-    p.add_argument("--mmax", type=_nonnegative)
+    p.add_argument("--nmax", type=_nonnegative,
+                   help="largest n of the n*m <= 12 oracle grid: every table1 "
+                        "check and --report, and gentree's -vs-oracle and -labels "
+                        "checks; gentree's -vs-formula and explicit-vs-recurrence "
+                        "keep fixed scopes (default: the suite's own)")
+    p.add_argument("--mmax", type=_nonnegative,
+                   help="largest m of the same grid and checks "
+                        "(default: the suite's own)")
     p.add_argument("--report", action="store_true",
                    help="also print the per-cell imported-row report")
     p.add_argument("--records", action="store_true", help="JSON-lines output")

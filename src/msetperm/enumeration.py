@@ -13,12 +13,16 @@ pattern.  For the canonical patterns of length 2 and 3 the second mask grows
 by an O(1) term at each appended letter; the pattern 1 and anything of
 length 4 or more fall back to a direct containment check.
 
-A count with no visit callback, in which every letter must be placed and
-every pattern has an O(1) term, takes the walk's memo branch: the number of
-completions below a live prefix depends only on what each letter has left,
-so each such number is computed once per call.  count_avoiders is that
-case; listing, generation, word counting, the pattern 1 and patterns of
-length 4 or more keep the plain walk.
+A walk with no visit callback whose patterns all have an O(1) term takes
+one of its two memo branches, and computes each value below a prefix once
+per call, keyed only on the state that value depends on.  Counting
+permutations (count_avoiders): the number of completions below a live
+prefix depends only on what each letter has left.  Counting words
+(word_counts_by_length): the number of clean extensions of each length
+below a prefix depends only on the levels left, the blocked letters and,
+when some pattern has length 3, the letters seen; patterns of length 2 read
+only the appended letter.  Listing, generation, the pattern 1 and patterns
+of length 4 or more keep the plain walk.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -100,47 +104,67 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     pattern without an entry (1, or length 4 or more) is tested directly on
     the prefix plus each candidate letter.
 
-    The memo branch.  When there is no visit, the capacities add up to depth
-    and every pattern has a _BLOCKS entry, a live prefix's blocked mask
-    meets no letter with copies left, and every _BLOCKS term reads only the
-    appended letter, present and again.  Within one call the capacities are
-    fixed, so the remaining counts say what present and again will read, and
-    the number of completions below a live prefix depends on them alone.
-    The walk memoizes it for the length of one call, keyed on the tuple of
-    remaining counts.
+    What a node returns.  When the capacities add up to depth, it is the
+    number of full-length completions of its prefix.  Otherwise it is the
+    vector whose entry k is the number of clean extensions of the prefix by
+    k more letters, k = 0..depth - d; the root's vector is counts.  The
+    vector is packed in one int, entry k in bits k*width and up, so that a
+    node adds its children's vectors with + as a count node adds their
+    counts.  No entry exceeds n**depth, so no entry spills into the next.
+
+    The memo branches.  When there is no visit and every pattern has a
+    _BLOCKS entry, every term reads only the appended letter, present and
+    again, and a node's value depends on less than its whole prefix.  The
+    walk memoizes it for the length of one call, keyed on that state:
+    - the count, when the capacities add up to depth.  A live prefix's
+      blocked mask meets no letter with copies left, and with the
+      capacities fixed for the call, the remaining counts say what present
+      and again will read.  The key is the tuple of remaining counts.
+    - words, when no letter can run out before depth (word counting gives
+      each letter more copies than the depth).  The key is the levels left,
+      blocked on the letters, and present if some pattern has length 3:
+      the terms of 12, 21 and 11 read only the appended letter.  Lower and
+      upper are parts of present.  Again (112, 221, 111) holds at a
+      letter's second copy; its term is then in blocked for good, so a
+      third copy would add nothing, and present is all the key needs of
+      the copies placed.
+    Neither key canonicalizes under symmetry.
 
     visit(prefix) sees each full-length prefix in lexicographic order (copy
-    it to keep it); a False return stops the search, leaving the counts
-    partial or 0.
+    it to keep it); a False return stops the search, and counts are then
+    not filled.
     """
     fast = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
     slow = [p for p in patterns if p.letters not in _BLOCKS]
     dead_if_blocked = sum(capacity) == depth
-    memo: dict[tuple[int, ...], int] | None = \
-        {} if visit is None and dead_if_blocked and not slow else None
+    width = 0 if dead_if_blocked else depth * n.bit_length() + 1
+    memo: dict[tuple, int] | None = {} if visit is None and not slow and (
+        dead_if_blocked or all(k >= depth for k in capacity[1:])) else None
+    reads_present = not dead_if_blocked and any(len(p.letters) == 3 for p in patterns)
+    letters = sum(1 << c for c in range(1, n + 1) if capacity[c])
     counts = [1] + [0] * depth
     remaining = list(capacity)
     prefix: list[int] = []
+    # only visit and the direct containment check read the prefix
+    track = visit is not None or bool(slow)
 
     def rec(present: int, blocked: int, d: int, letters_left: int) -> int:
-        """The number of full-length completions of the current prefix,
-        whose letters are the bits of present and whose unplaced letters
-        are the bits of letters_left."""
+        """The value of the current prefix, whose letters are the bits of
+        present and whose unplaced letters are the bits of letters_left."""
         free = letters_left & ~blocked
         if slow:
             for c in range(1, n + 1):
                 if free >> c & 1 and any(contains(prefix + [c], p) for p in slow):
                     free ^= 1 << c
-        if dead_if_blocked:
-            if free != letters_left:
-                return 0
-        else:
-            counts[d + 1] += free.bit_count()
+        if dead_if_blocked and free != letters_left:
+            return 0
         last = d + 1 == depth
         if last and visit is None:
-            return free.bit_count()
+            total = free.bit_count()
+            return total if dead_if_blocked else 1 + (total << width)
         if memo is not None:
-            state = tuple(remaining)
+            state = tuple(remaining) if dead_if_blocked else \
+                (depth - d, blocked & letters, present if reads_present else 0)
             total = memo.get(state)
             if total is not None:
                 return total
@@ -149,12 +173,15 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
             low = free & -free
             free ^= low
             c = low.bit_length() - 1
-            prefix.append(c)
             if last:
+                prefix.append(c)
                 if not visit(prefix):
                     raise _Stop
+                prefix.pop()
                 total += 1
             else:
+                if track:
+                    prefix.append(c)
                 remaining[c] -= 1
                 lower, upper = present & (low - 1), present & -(low << 1)
                 again = capacity[c] - remaining[c] == 2
@@ -164,7 +191,10 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
                 total += rec(present | low, child, d + 1,
                              letters_left if remaining[c] else letters_left ^ low)
                 remaining[c] += 1
-            prefix.pop()
+                if track:
+                    prefix.pop()
+        if not dead_if_blocked:
+            total = 1 + (total << width)
         if memo is not None:
             memo[state] = total
         return total
@@ -174,11 +204,14 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
             visit(prefix)
         return counts
     try:
-        total = rec(0, 0, 0, sum(1 << c for c in range(1, n + 1) if capacity[c]))
+        total = rec(0, 0, 0, letters)
     except _Stop:
         return counts
     if dead_if_blocked:
         counts[depth] = total
+    else:
+        mask = (1 << width) - 1
+        counts = [total >> k * width & mask for k in range(depth + 1)]
     return counts
 
 
@@ -238,8 +271,10 @@ def word_counts_by_length(n: int, max_length: int,
                           patterns: PatternSet | Sequence) -> list[int]:
     """Avoiding words over [n] of every length 0..max_length, counted in one
     walk: words are the prefixes of a search in which every letter may be
-    used max_length + 1 times.  So the capacities never add up to the depth,
-    not even at n = 1, and walk counts every level."""
+    used max_length + 1 times.  So no letter runs out and the capacities
+    never add up to the depth, not even at n = 1: walk counts every level,
+    and when every pattern has length 2 or 3 it takes its word memo branch,
+    keyed on the state that the patterns read."""
     patterns = _as_pattern_set(patterns)
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")

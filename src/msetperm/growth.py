@@ -7,7 +7,8 @@ exact counts together with the display-only ratio count**(1/(n*m)).
 
 Words (letter counts unconstrained) are counted by the enumeration walk
 that also counts, lists and generates permutations: each letter's capacity
-is raised to the word length.
+is raised above the word length, and patterns of length 2 and 3 take the
+walk's word memo branch.
 """
 
 from __future__ import annotations

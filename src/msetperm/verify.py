@@ -213,17 +213,21 @@ def _dead_label_failures(m: int = 4, height: int = 8) -> Iterator[str]:
         yield f"children(2) = {kids}"
 
 
-def verify_gentree(n_max: int = 4, m_max: int = 3) -> list[CheckResult]:
-    """Trees against the oracle, counts and labels, on the n*m <= 12 grid,
-    and against the proved formulas to height 60."""
+def verify_gentree(n_max: int = 6, m_max: int = 3) -> list[CheckResult]:
+    """Trees against the oracle, counts and labels, on the n*m <= 12 grid
+    with n <= n_max and m <= m_max, and against the proved formulas to
+    height 60 at m <= 5."""
     def cells(tops: dict[int, int]) -> str:
         return f"{sum(top + 1 for top in tops.values())} cells"
+
+    def grid_top(m: int) -> int:
+        return min(n_max, _GRID_BUDGET // m)
 
     results = []
     # small grid: trees against the oracle
     for name, pair in RULE_PATTERN_PAIRS.items():
         patterns = PatternSet.of(*pair)
-        tops = _tree_tops(name, m_max, lambda m: min(n_max, _GRID_BUDGET // m))
+        tops = _tree_tops(name, m_max, grid_top)
         results.append(_check("gentree", f"{name}-vs-oracle", (
             f"tree {tree} != oracle {oracle} at n={n}, m={m}"
             for n, m, profile in _tree_levels(name, tops)
@@ -231,7 +235,7 @@ def verify_gentree(n_max: int = 4, m_max: int = 3) -> list[CheckResult]:
             != (oracle := count_avoiders(n, m, patterns))), cells(tops)))
     # labels: each height's profile is its statistic's distribution
     for name in _LABEL_STATISTICS:
-        tops = _tree_tops(name, m_max, lambda m: _GRID_BUDGET // m)
+        tops = _tree_tops(name, m_max, grid_top)
         results.append(_check("gentree", f"{name}-labels",
                               _label_failures(name, tops), cells(tops)))
     # tall grid: trees against formulas, given each pair's representative

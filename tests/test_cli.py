@@ -401,6 +401,17 @@ class TestOtherCommands:
         assert "imported-rows" in out
         assert "DISAGREES" in out  # the quoted rows that fail the oracle
 
+    def test_verify_gentree_scope_bounds_the_label_check(self, capsys):
+        def label_cells(*scope):
+            code, out, _ = run_cli(capsys, "verify", "--suite", "gentree", *scope)
+            assert code == 0 and "FAIL" not in out, out
+            return [line.rsplit(": ", 1)[1] for line in out.splitlines()
+                    if "-labels" in line]
+        # n <= 3 at m = 2 only: heights 0..3 of each rule
+        assert label_cells("--nmax", "3", "--mmax", "2") == ["4 cells"] * 3
+        # the default scope lists to n*m <= 12 at m = 2 and 3, as before
+        assert label_cells() == ["7 cells", "12 cells", "12 cells"]
+
     def test_verify_report_rows_are_records(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--nmax", "2",
                                "--mmax", "2", "--report", "--records")

@@ -237,3 +237,59 @@ def test_word_counts_match_naive_reference_at_every_length(n, max_length):
         assert word_counts_by_length(n, max_length, ps) == \
             [naive_word_count(n, length, raw) for length in range(max_length + 1)], \
             f"{ps} at n={n}"
+
+
+# -- the word memo branch of the walk -----------------------------------------
+
+#: Patterns whose term reads only the appended letter, reads present (lower
+#: or upper), or reads again: the three kinds of state the word memo key
+#: must cover.
+APPENDED_ONLY = ("12", "21", "11")
+READS_PRESENT = tuple(str(p) for p in LENGTH3_PATTERNS if p.letters[0] != p.letters[1])
+READS_AGAIN = ("112", "221", "111")
+word_pattern_sets = st.lists(
+    st.one_of(st.sampled_from(APPENDED_ONLY), st.sampled_from(READS_PRESENT),
+              st.sampled_from(READS_AGAIN)),
+    min_size=1, max_size=3,
+).map(lambda specs: PatternSet.of(*specs))
+#: Alphabets and word lengths with at most 1,024 words of the full length.
+word_cells = st.sampled_from([(n, length) for n in range(0, 5) for length in range(0, 8)
+                              if n ** length <= 1024])
+
+
+def _plain_word_counts(n, max_length, ps):
+    """Word counts of every length from the plain walk: a visit callback
+    keeps it off the memo branch, and counts the full-length words itself."""
+    visited = []
+    counts = walk(n, (0,) + (max_length + 1,) * n, max_length, ps,
+                  lambda prefix: visited.append(1) or True)
+    assert counts[max_length] == len(visited)
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_pattern_sets, word_cells)
+def test_word_memo_branch_matches_plain_walk_and_reference(ps, cell):
+    n, max_length = cell
+    raw = [p.letters for p in ps]
+    naive = [naive_word_count(n, length, raw) for length in range(max_length + 1)]
+    assert word_counts_by_length(n, max_length, ps) == \
+        _plain_word_counts(n, max_length, ps) == naive
+
+
+@pytest.mark.parametrize("n,max_length", [(6, 8), (5, 9)])
+def test_word_memo_branch_matches_plain_walk_beyond_the_reference(n, max_length):
+    for specs in (("12",), ("11", "21"), ("123",), ("132", "212"), ("132", "213"),
+                  ("112",), ("112", "312"), ("221", "213"), ("111", "121"),
+                  ("112", "122", "12")):
+        ps = PatternSet.of(*specs)
+        assert word_counts_by_length(n, max_length, ps) == \
+            _plain_word_counts(n, max_length, ps), specs
+
+
+def test_letters_that_can_run_out_keep_the_plain_walk():
+    # the word memo key holds no remaining counts, so walk takes that branch
+    # only when no letter can run out before the depth
+    ps = PatternSet.of("12")
+    assert walk(2, (0, 3, 3), 5, ps) == walk(2, (0, 3, 3), 5, ps, lambda prefix: True) \
+        == [1, 2, 3, 4, 3, 2]
