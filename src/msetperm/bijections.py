@@ -170,7 +170,7 @@ def perm_to_labels(sigma: MultisetPermutation) -> LabelSequence:
     if m is None:
         raise NotInDomain("label sequences are defined on regular multisets")
     _require_avoids(sigma, PAIR_122_123)
-    labels = [first_ascent(sigma.restrict(k).letters)
+    labels = [first_ascent([v for v in sigma.letters if v <= k])
               for k in range(sigma.alphabet_size + 1)]
     return LabelSequence(tuple(labels), m)
 

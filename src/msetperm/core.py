@@ -6,6 +6,9 @@ reduced form (value set {1..k}); containment means an order-isomorphic
 subsequence where equal pattern letters must map to equal letters of the
 host permutation.
 
+Patterns of length 2 and 3 are decided by one scan with the walk's O(1) mask
+terms (_BLOCKS); letters below 1, other patterns and hits take backtracking.
+
 Positions are 1-based throughout, matching the usual combinatorial
 conventions for positional statistics.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidPattern,
@@ -237,23 +240,39 @@ class PatternSet:
         return "{" + ",".join(str(p) for p in self.patterns) + "}"
 
 
-def _occurrence_len3(letters: Letters, pat: Letters) -> tuple[int, int, int] | None:
-    # Direct triple scan; all catalogued patterns have length 3 and host
-    # lengths stay at desk scale.
-    l = len(letters)
-    p0, p1, p2 = pat
-    for i in range(l - 2):
-        a = letters[i]
-        for j in range(i + 1, l - 1):
-            b = letters[j]
-            if (a < b) != (p0 < p1) or (a > b) != (p0 > p1):
-                continue
-            for k in range(j + 1, l):
-                c = letters[k]
-                if (a < c) == (p0 < p2) and (a > c) == (p0 > p2) \
-                        and (b < c) == (p1 < p2) and (b > c) == (p1 > p2):
-                    return (i, j, k)
-    return None
+# -- containment ---------------------------------------------------------------
+#
+# find_occurrence's scan and the enumeration walk carry two masks over the
+# letters (bit v stands for the letter v): present, the letters seen, and
+# blocked, the letters whose appending would complete a pattern.  Blocked
+# only grows: a new occurrence that ends in the letter c and uses the letter
+# just appended has that letter second to last, so what the append adds to
+# the blocked set depends only on that letter (bit), the letters seen below
+# and above it (lower, upper) and whether it was seen before (again; a third
+# copy adds what the second did).  Each entry below maps those to the letters
+# added for one canonical pattern of length 2 or 3.  -(bit << 1) holds every
+# letter above the appended one, and bit - 1 every letter below.
+
+_BLOCKS: dict[tuple[int, ...], Callable[[int, int, int, int], int]] = {
+    (1, 2, 3): lambda bit, lower, upper, again: -(bit << 1) if lower else 0,
+    (2, 1, 3): lambda bit, lower, upper, again: -((upper & -upper) << 1),
+    (2, 3, 1): lambda bit, lower, upper, again:
+        lower and (1 << lower.bit_length() - 1) - 1,
+    (3, 2, 1): lambda bit, lower, upper, again: bit - 1 if upper else 0,
+    (1, 3, 2): lambda bit, lower, upper, again: (bit - 1) & -((lower & -lower) << 1),
+    (3, 1, 2): lambda bit, lower, upper, again:
+        upper and ((1 << upper.bit_length() - 1) - 1) & -(bit << 1),
+    (1, 1, 2): lambda bit, lower, upper, again: -(bit << 1) if again else 0,
+    (2, 2, 1): lambda bit, lower, upper, again: bit - 1 if again else 0,
+    (1, 1, 1): lambda bit, lower, upper, again: bit if again else 0,
+    (1, 2, 1): lambda bit, lower, upper, again: lower,
+    (2, 1, 1): lambda bit, lower, upper, again: bit if upper else 0,
+    (1, 2, 2): lambda bit, lower, upper, again: bit if lower else 0,
+    (2, 1, 2): lambda bit, lower, upper, again: upper,
+    (1, 2): lambda bit, lower, upper, again: -(bit << 1),
+    (2, 1): lambda bit, lower, upper, again: bit - 1,
+    (1, 1): lambda bit, lower, upper, again: bit,
+}
 
 
 def _occurrence_general(letters: Letters, pat: Letters) -> tuple[int, ...] | None:
@@ -285,14 +304,25 @@ def _occurrence_general(letters: Letters, pat: Letters) -> tuple[int, ...] | Non
 
 def find_occurrence(sigma: MultisetPermutation | Sequence[int], pi: Pattern
                     ) -> tuple[int, ...] | None:
-    """1-based positions of some occurrence of pi in sigma, or None."""
+    """1-based positions of the lexicographically first occurrence of pi in
+    sigma, or None.  A pattern with a _BLOCKS entry is decided by the mask
+    scan, which stops at the first blocked letter; only a hit, the other
+    patterns and raw letters below 1 take the backtracking search."""
     letters = sigma.letters if isinstance(sigma, MultisetPermutation) else tuple(sigma)
     if len(pi.letters) > len(letters):
         return None
-    if len(pi.letters) == 3:
-        hit = _occurrence_len3(letters, pi.letters)
-    else:
-        hit = _occurrence_general(letters, pi.letters)
+    block = _BLOCKS.get(pi.letters)
+    if block is not None and (isinstance(sigma, MultisetPermutation) or min(letters) >= 1):
+        present = blocked = 0
+        for v in letters:
+            bit = 1 << v
+            if blocked & bit:
+                break
+            blocked |= block(bit, present & (bit - 1), present & -(bit << 1), present & bit)
+            present |= bit
+        else:
+            return None
+    hit = _occurrence_general(letters, pi.letters)
     return None if hit is None else tuple(i + 1 for i in hit)
 
 

@@ -10,8 +10,9 @@ some letter with copies left would complete a pattern: that letter still
 has to come, so no completion avoids the patterns.  The walk carries two
 masks: the letters seen and the letters whose appending would complete a
 pattern.  For the canonical patterns of length 2 and 3 the second mask grows
-by an O(1) term at each appended letter; the pattern 1 and anything of
-length 4 or more fall back to a direct containment check.
+by an O(1) term at each appended letter (core's _BLOCKS, which containment
+reads too); the pattern 1 and anything of length 4 or more fall back to a
+direct containment check.
 
 A walk with no visit callback whose patterns all have an O(1) term takes
 one of its two memo branches, and computes each value below a prefix once
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, Sequence
 
-from .core import MultisetPermutation, PatternSet, contains
+from .core import _BLOCKS, MultisetPermutation, PatternSet, contains
 from .errors import BudgetExceeded
 
 #: Largest permutation length materialized (generate/list).
@@ -46,38 +47,7 @@ def _check_budget(length: int, budget: int) -> None:
         raise BudgetExceeded(f"length {length} exceeds the budget of {budget}")
 
 
-# -- the two masks of the walk ------------------------------------------------
-#
-# The walk carries two masks over letters 1..n (bit v stands for the letter
-# v): present, the letters seen, and blocked, the letters whose appending
-# would complete a pattern.  Blocked only grows: a new occurrence that ends
-# in the letter c and uses the letter just appended has that letter second
-# to last, so what the append adds to the blocked set depends only on that
-# letter (bit), the letters seen below and above it (lower, upper) and
-# whether this is its second copy (again).  Each entry below maps those to
-# the letters added for one canonical pattern of length 2 or 3.  -(bit << 1)
-# holds every letter above the appended one, and bit - 1 every letter below.
-
-_BLOCKS: dict[tuple[int, ...], Callable[[int, int, int, bool], int]] = {
-    (1, 2, 3): lambda bit, lower, upper, again: -(bit << 1) if lower else 0,
-    (2, 1, 3): lambda bit, lower, upper, again: -((upper & -upper) << 1),
-    (2, 3, 1): lambda bit, lower, upper, again:
-        lower and (1 << lower.bit_length() - 1) - 1,
-    (3, 2, 1): lambda bit, lower, upper, again: bit - 1 if upper else 0,
-    (1, 3, 2): lambda bit, lower, upper, again: (bit - 1) & -((lower & -lower) << 1),
-    (3, 1, 2): lambda bit, lower, upper, again:
-        upper and ((1 << upper.bit_length() - 1) - 1) & -(bit << 1),
-    (1, 1, 2): lambda bit, lower, upper, again: -(bit << 1) if again else 0,
-    (2, 2, 1): lambda bit, lower, upper, again: bit - 1 if again else 0,
-    (1, 1, 1): lambda bit, lower, upper, again: bit if again else 0,
-    (1, 2, 1): lambda bit, lower, upper, again: lower,
-    (2, 1, 1): lambda bit, lower, upper, again: bit if upper else 0,
-    (1, 2, 2): lambda bit, lower, upper, again: bit if lower else 0,
-    (2, 1, 2): lambda bit, lower, upper, again: upper,
-    (1, 2): lambda bit, lower, upper, again: -(bit << 1),
-    (2, 1): lambda bit, lower, upper, again: bit - 1,
-    (1, 1): lambda bit, lower, upper, again: bit,
-}
+# The O(1) terms of the two masks, _BLOCKS, live in core with containment.
 
 
 class _Stop(Exception):

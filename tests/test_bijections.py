@@ -199,3 +199,15 @@ class TestMinimaMap:
                         early.append(v)
                         assert pos in minima
                 assert early == expected
+
+
+@pytest.mark.parametrize("convert, text, message", [
+    (perm_to_dyck, "1122", "1122 contains 112 at positions 1,2,3"),
+    (perm_to_labels, "112233", "112233 contains 122 at positions 1,3,4"),
+    (simion_schmidt_f, "132231", "132231 contains 122 at positions 1,2,5"),
+    (simion_schmidt_g, "213312", "213312 contains 122 at positions 1,3,4"),
+])
+def test_domain_messages_name_the_first_occurrence(convert, text, message):
+    with pytest.raises(NotInDomain) as excinfo:
+        convert(P(text))
+    assert str(excinfo.value) == message

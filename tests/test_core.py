@@ -1,7 +1,12 @@
-import pytest
-from hypothesis import given, strategies as st
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from msetperm import core
 from msetperm.core import (
+    LENGTH3_PATTERNS,
+    TRIPLE_REPEAT,
     MultisetPermutation,
     Pattern,
     PatternSet,
@@ -15,6 +20,7 @@ from msetperm.core import (
     normalize_pattern,
     symmetry,
 )
+from msetperm.enumeration import list_avoiders
 from msetperm.errors import (
     InvalidPattern,
     InvalidPermutation,
@@ -101,6 +107,60 @@ class TestContainment:
         pattern = normalize_pattern(raw)
         if contains(tuple(prefix), pattern):
             assert contains(tuple(prefix + suffix), pattern)
+
+
+SCANNED = LENGTH3_PATTERNS + (TRIPLE_REPEAT,)  # the 13 canonical length-3 patterns
+
+
+class TestScan:
+    """find_occurrence decides the patterns of length 2 and 3 with the mask
+    scan and locates a hit with the backtracking search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+               lambda k: st.lists(st.integers(min_value=1, max_value=k), max_size=10)),
+           st.sampled_from(SCANNED + tuple(Pattern(p) for p in ((1, 2), (2, 1), (1, 1)))))
+    def test_agrees_with_reference_in_verdict_and_positions(self, word, pattern):
+        k = len(pattern)
+        first = next((tuple(i + 1 for i in idx)
+                      for idx in itertools.combinations(range(len(word)), k)
+                      if naive_contains([word[i] for i in idx], pattern.letters)), None)
+        assert (first is not None) == naive_contains(word, pattern.letters)
+        hosts = [tuple(word)]
+        if set(word) == set(range(1, max(word, default=0) + 1)):
+            hosts.append(MultisetPermutation.from_letters(word))
+        for host in hosts:
+            assert find_occurrence(host, pattern) == first
+
+    def test_letters_below_one(self):
+        for word in ((0, 2, 1), (-1, -3, -2), (0, -1, 0, 2)):
+            for pattern in SCANNED:
+                hit = find_occurrence(word, pattern)
+                assert (hit is not None) == naive_contains(word, pattern.letters)
+        assert find_occurrence((0, 2, 1), Pattern.parse("132")) == (1, 2, 3)
+        assert find_occurrence((-1, -3, -2), Pattern.parse("132")) is None
+
+    def test_avoiders_never_take_the_fallback(self, monkeypatch):
+        # A scan that reports false hits still answers right, since the
+        # backtracking search then finds nothing; this counter catches it.
+        avoiders = {p: [sigma for n in range(1, 9) for m in range(1, 8 // n + 1)
+                        for sigma in list_avoiders(n, m, PatternSet((p,)))]
+                    for p in SCANNED}
+        calls = []
+        general = core._occurrence_general
+
+        def counted(letters, pat):
+            calls.append((letters, pat))
+            return general(letters, pat)
+
+        monkeypatch.setattr(core, "_occurrence_general", counted)
+        for p, sigmas in avoiders.items():
+            assert sigmas
+            for sigma in sigmas:
+                assert find_occurrence(sigma, p) is None
+        assert calls == []
+        assert find_occurrence(P("123"), Pattern.parse("123")) == (1, 2, 3)
+        assert len(calls) == 1
 
 
 class TestSymmetry:
