@@ -106,7 +106,7 @@ def dyck_to_perm(word: DyckWord) -> MultisetPermutation:
         else:
             out[i] = next_y
             next_y -= 1
-    sigma = MultisetPermutation.regular(out, n, 2) if n else MultisetPermutation((), 0, ())
+    sigma = MultisetPermutation.regular(out, n, 2)
     _require_avoids(sigma, PAIR_112_122)
     return sigma
 
@@ -192,8 +192,7 @@ def labels_to_perm(seq: LabelSequence) -> MultisetPermutation:
             raise InvalidLabelSequence(f"label {c} after {a} has no insertion slot")
         letters.insert(j - 1, i)
         letters[:0] = [i] * (m - 1)
-    n = seq.n
-    sigma = MultisetPermutation.regular(letters, n, m) if n else MultisetPermutation((), 0, ())
+    sigma = MultisetPermutation.regular(letters, seq.n, m)
     _require_avoids(sigma, PAIR_122_123)
     return sigma
 

@@ -8,6 +8,7 @@ orbit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -76,6 +77,12 @@ def symmetry_closure(pair) -> PatternPairClass:
 
 def canonical_pair(pair) -> Pair:
     """Deterministic representative: the lexicographically least orbit member."""
+    return _orbit_representative(_as_pair(pair))
+
+
+@functools.cache
+def _orbit_representative(pair: Pair) -> Pair:
+    # keyed on the normalized pair, so every input shape shares one entry
     return symmetry_closure(pair).representative
 
 

@@ -20,13 +20,7 @@ from pathlib import Path
 
 from . import bijections as bij
 from .cache import CountCache
-from .classify import (
-    Pair,
-    canonical_pair,
-    class_table,
-    classify_all_length3,
-    empirical_wilf_classes,
-)
+from .classify import class_table, classify_all_length3, empirical_wilf_classes
 from .core import MultisetPermutation, PatternSet
 from .enumeration import count_avoiders
 from .errors import (
@@ -42,7 +36,7 @@ from .formulas import (
     proved_count,
     recurrence_count,
 )
-from .gentree import RULE_PATTERN_PAIRS, SuccessionRule, builtin_rule, count_at_height, levels
+from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height, levels, rule_for
 from .growth import growth_table
 from .verify import CheckResult, imported_agreement_report, run_suite
 
@@ -73,12 +67,6 @@ def _emit(records: list[dict], columns: list[str], args) -> None:
 
 # -- count ---------------------------------------------------------------------
 
-@functools.cache
-def _rule_names() -> dict[Pair, str]:
-    """Built-in succession rule names by the canonical form of their pair."""
-    return {canonical_pair(pair): name for name, pair in RULE_PATTERN_PAIRS.items()}
-
-
 def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
                cache: CountCache | None) -> int:
     if method == "oracle":
@@ -90,16 +78,8 @@ def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
     if method == "recurrence":
         return recurrence_count(pair, n, m) if n >= 1 else 1
     if method == "gentree":
-        return count_at_height(_rule_for(pair, m), n)
+        return count_at_height(rule_for(pair, m), n)
     raise Unsupported(f"unknown method {method!r}")
-
-
-def _rule_for(pair: tuple[str, str], m: int) -> SuccessionRule:
-    name = _rule_names().get(canonical_pair(pair))
-    if name is None:
-        raise Unsupported(f"no built-in succession rule covers {pair}")
-    # builtin_rule refuses an m outside the rule's domain
-    return builtin_rule(name, m)
 
 
 def cmd_count(args) -> int:
@@ -113,7 +93,7 @@ def cmd_count(args) -> int:
             raise Unsupported("--bfile needs one method, not --method all")
         if args.method == "gentree":
             # one pass down the tree serves every line
-            for n, profile in enumerate(levels(_rule_for(pair, args.m), args.nmax)):
+            for n, profile in enumerate(levels(rule_for(pair, args.m), args.nmax)):
                 if n:
                     print(f"{n} {sum(profile.values())}")
             return 0
@@ -223,13 +203,11 @@ def cmd_bijection(args) -> int:
                 raise Unsupported("--kind labels --direction inv needs --m")
             print(bij.labels_to_perm(bij.LabelSequence.parse(text, args.m)))
     elif kind == "path":
+        if args.m is None:
+            raise Unsupported("--kind path needs --m")
         if direction == "fwd":
-            if args.m is None:
-                raise Unsupported("--kind path needs --m")
             print(bij.path_to_labels(bij.LatticePath(text, args.m)))
         else:
-            if args.m is None:
-                raise Unsupported("--kind path needs --m")
             print(bij.labels_to_path(bij.LabelSequence.parse(text, args.m)))
     elif kind == "simion":
         sigma = MultisetPermutation.parse(text)
@@ -273,22 +251,15 @@ def cmd_table(args) -> int:
         _emit(catalog(), ["pair", "table_pair", "trust", "validity",
                           "servable", "provenance", "note"], args)
         return 0
-    n_max, m_max = args.nmax, args.mmax
+    cells = [(n, m) for m in range(2, args.mmax + 1) for n in range(1, args.nmax + 1)]
     records = []
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         row = {"pair": f"{entry.table_pair[0]},{entry.table_pair[1]}",
                "trust": entry.trust}
-        for m in range(2, m_max + 1):
-            for n in range(1, n_max + 1):
-                key = f"n{n}m{m}"
-                if not entry.is_servable() or not entry.validity(n, m):
-                    row[key] = "-"
-                else:
-                    row[key] = entry.evaluator(n, m)
+        for n, m in cells:
+            row[f"n{n}m{m}"] = entry.evaluator(n, m) if entry.validity(n, m) else "-"
         records.append(row)
-    columns = ["pair", "trust"] + [f"n{n}m{m}" for m in range(2, m_max + 1)
-                                   for n in range(1, n_max + 1)]
-    _emit(records, columns, args)
+    _emit(records, ["pair", "trust"] + [f"n{n}m{m}" for n, m in cells], args)
     return 0
 
 

@@ -125,14 +125,6 @@ class MultisetPermutation:
         first = self.multiplicity[0]
         return first if all(m == first for m in self.multiplicity) else None
 
-    def restrict(self, k: int) -> "MultisetPermutation":
-        """Subsequence of letters <= k, in order, as a permutation on [k]."""
-        if k < 0 or k > self.alphabet_size:
-            raise InvalidPermutation(f"restriction bound {k} outside [0..{self.alphabet_size}]")
-        return MultisetPermutation(
-            tuple(v for v in self.letters if v <= k), k, self.multiplicity[:k]
-        )
-
     def __str__(self) -> str:
         return format_letters(self.letters)
 

@@ -23,7 +23,6 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
 from .classify import Pair, canonical_pair
-from .core import Pattern
 from .errors import ArithmeticBug, OutOfDomain, Unsupported
 
 BigCount = int
@@ -77,16 +76,16 @@ def stirling_count(n: int, m: int) -> BigCount:
 
 # -- the two Fibonacci-like families -------------------------------------------
 
-_REP_211_213 = canonical_pair((Pattern((2, 1, 1)), Pattern((2, 1, 3))))
-_REP_122_213 = canonical_pair((Pattern((1, 2, 2)), Pattern((2, 1, 3))))
-_FAMILIES = (_REP_211_213, _REP_122_213)
+_REP_211_213 = canonical_pair(("211", "213"))
+_REP_122_213 = canonical_pair(("122", "213"))
+#: The classes whose counts also satisfy a two-term recurrence with a Binet form.
+RECURRENCE_FAMILIES = (_REP_211_213, _REP_122_213)
 
 
 def _family(pair) -> Pair:
     """The representative of the Fibonacci-like family that pair belongs to."""
-    # the registry evaluators and the gentree suite pass a representative
-    rep = pair if pair in _FAMILIES else canonical_pair(pair)
-    if rep in _FAMILIES:
+    rep = canonical_pair(pair)
+    if rep in RECURRENCE_FAMILIES:
         return rep
     raise Unsupported(f"no two-term recurrence is catalogued for {rep[0]},{rep[1]}")
 
@@ -160,25 +159,34 @@ def explicit_count(pair, n: int, m: int) -> BigCount:
 
 # -- the formula registry -------------------------------------------------------
 
-Validity = Callable[[int, int], bool]
 Evaluator = Callable[[int, int], BigCount]
 
 
 @dataclass(frozen=True)
 class FormulaEntry:
-    """One catalogued counting family, keyed by its symmetry representative."""
+    """One catalogued counting family, keyed by its symmetry representative.
+
+    A row with an evaluator is stated for n >= n_min, m >= 2; a row without
+    one has no domain.
+    """
 
     pair: Pair
     table_pair: tuple[str, str]
     provenance: str
     trust: str
-    validity_text: str
-    validity: Validity
     evaluator: Evaluator | None
     note: str = ""
+    n_min: int = 1
 
     def is_servable(self) -> bool:
         return self.evaluator is not None
+
+    def validity(self, n: int, m: int) -> bool:
+        return self.is_servable() and n >= self.n_min and m >= 2
+
+    @property
+    def validity_text(self) -> str:
+        return f"n >= {self.n_min}, m >= 2" if self.is_servable() else "-"
 
 
 def _binomial_ratio_sum(n: int, m: int) -> BigCount:
@@ -209,93 +217,76 @@ def _pair_123_321(n: int, m: int) -> BigCount:
     return 0
 
 
-def _entry(p1: str, p2: str, provenance: str, trust: str, validity_text: str,
-           validity: Validity, evaluator: Evaluator | None, note: str = "") -> FormulaEntry:
-    pair = canonical_pair((Pattern.parse(p1), Pattern.parse(p2)))
-    return FormulaEntry(pair, (p1, p2), provenance, trust, validity_text,
-                        validity, evaluator, note)
-
-
-def _n1m2(n: int, m: int) -> bool:
-    return n >= 1 and m >= 2
+def _entry(p1: str, p2: str, provenance: str, trust: str,
+           evaluator: Evaluator | None, note: str = "", n_min: int = 1) -> FormulaEntry:
+    return FormulaEntry(canonical_pair((p1, p2)), (p1, p2), provenance, trust,
+                        evaluator, note, n_min)
 
 
 _ENTRIES = [
     _entry("112", "122", "binary insertion choice (m >= 3); generating tree and "
-           "word bijection (m = 2)", "proved-here", "n >= 1, m >= 2",
-           _n1m2, _pair_112_122),
+           "word bijection (m = 2)", "proved-here", _pair_112_122),
     _entry("122", "123", "generating tree with first-ascent labels; lattice-path "
-           "bijection", "proved-here", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: generalized_catalan(n, m)),
+           "bijection", "proved-here", lambda n, m: generalized_catalan(n, m)),
     _entry("122", "132", "left-to-right-minima bijection onto the (122,123) "
-           "avoiders", "proved-here", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: generalized_catalan(n, m)),
+           "avoiders", "proved-here", lambda n, m: generalized_catalan(n, m)),
     _entry("211", "213", "generating tree with descent-offset labels; "
-           "Pell-like recurrence", "proved-here", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: explicit_count(_REP_211_213, n, m)),
+           "Pell-like recurrence", "proved-here",
+           lambda n, m: explicit_count(_REP_211_213, n, m)),
     _entry("122", "213", "generating tree with first-descent labels; "
-           "Fibonacci-like recurrence", "proved-here", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: explicit_count(_REP_122_213, n, m)),
+           "Fibonacci-like recurrence", "proved-here",
+           lambda n, m: explicit_count(_REP_122_213, n, m)),
     _entry("122", "312", "direct structure: forced prefix block plus one free "
-           "insertion", "proved-here", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: (n - 1) * m + 1),
+           "insertion", "proved-here", lambda n, m: (n - 1) * m + 1),
     _entry("122", "321", "forced decreasing blocks contain 321 from n = 3 on",
-           "proved-here", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: 1 if n == 1 else (m + 1 if n == 2 else 0)),
+           "proved-here", lambda n, m: 1 if n == 1 else (m + 1 if n == 2 else 0)),
     # multiset-multiset rows quoted from the compositions-and-words literature
     _entry("212", "221", "unique avoider: increasing blocks", "imported",
-           "n >= 1, m >= 2", _n1m2, lambda n, m: 1),
+           lambda n, m: 1),
     _entry("212", "121", "block permutations only", "imported",
-           "n >= 1, m >= 2", _n1m2, lambda n, m: math.factorial(n)),
+           lambda n, m: math.factorial(n)),
     _entry("122", "121", "Catalan family independent of m", "imported",
-           "n >= 1, m >= 2", _n1m2, lambda n, m: catalan(n)),
+           lambda n, m: catalan(n)),
     _entry("122", "211", "the two patterns are jointly unavoidable",
-           "imported", "n >= 1, m >= 2", _n1m2, lambda n, m: 0,
+           "imported", lambda n, m: 0,
            note="the quoted row is stated without a domain; at n = 1 the "
                 "single constant word is an avoider"),
-    _entry("122", "221", "case split on m", "imported", "n >= 1, m >= 2",
-           _n1m2, lambda n, m: 1 if m == 2 else 0,
+    _entry("122", "221", "case split on m", "imported",
+           lambda n, m: 1 if m == 2 else 0,
            note="at n = 1 the single constant word avoids both patterns "
                 "for every m"),
     # mixed rows quoted from the Stirling-permutation literature
     _entry("212", "123", "quoted series-expansion sum", "imported",
-           "n >= 1, m >= 2", _n1m2, _binomial_ratio_sum),
+           _binomial_ratio_sum),
     _entry("212", "132", "quoted as the generalized Catalan family",
-           "report-only", "n >= 1, m >= 2", _n1m2,
-           lambda n, m: generalized_catalan(n, m),
+           "report-only", lambda n, m: generalized_catalan(n, m),
            note="verification finds disagreement with the oracle from n = 3 "
                 "on; the generalized Catalan counts instead match the "
                 "(212,213) class empirically"),
     # ordinary-ordinary rows; validity ranges were not quoted, so these are
     # reported against the oracle rather than asserted
     _entry("123", "231", "binomial plus correction term", "report-only",
-           "n >= 1, m >= 2", _n1m2,
            lambda n, m: math.comb(n * m, m) + math.comb(n - 1, 2) * m * m),
     _entry("123", "321", "finite case split (everything contains one of the "
-           "patterns from n = 5)", "report-only", "n >= 1, m >= 2",
-           _n1m2, _pair_123_321,
+           "patterns from n = 5)", "report-only", _pair_123_321,
            note="values for n = 1, 2 added here and oracle-checked; the "
                 "quoted split starts at n = 3"),
-    _entry("132", "231", "geometric family", "report-only", "n >= 2, m >= 2",
-           lambda n, m: n >= 2 and m >= 2,
+    _entry("132", "231", "geometric family", "report-only",
            lambda n, m: catalan(m) * (m + 1) ** (n - 2),
            note="verification finds the quoted exponent off by one: the "
-                "oracle matches catalan(m)*(m+1)**(n-1) for n >= 2"),
+                "oracle matches catalan(m)*(m+1)**(n-1) for n >= 2",
+           n_min=2),
     _entry("132", "312", "telescoping binomial sums", "report-only",
-           "n >= 1, m >= 2", _n1m2,
            lambda n, m: (sum(math.comb(m * n, m * i) for i in range(1, n))
                          - sum(math.comb(m * n - m, m * i) for i in range(1, n - 1)))),
     # recursion-only families: catalogued so the table is complete, but not
     # servable as closed formulas
-    _entry("123", "132", "recursion only in the quoted source", "imported",
-           "-", lambda n, m: False, None,
+    _entry("123", "132", "recursion only in the quoted source", "imported", None,
            note="no closed formula; use the enumeration oracle"),
-    _entry("132", "213", "recursion only in the quoted source", "imported",
-           "-", lambda n, m: False, None,
+    _entry("132", "213", "recursion only in the quoted source", "imported", None,
            note="no closed formula; use the enumeration oracle"),
     # the symmetry class missing from the quoted 20-class table
-    _entry("212", "213", "uncatalogued symmetry class", "report-only",
-           "-", lambda n, m: False, None,
+    _entry("212", "213", "uncatalogued symmetry class", "report-only", None,
            note="no quoted row covers this class (the class list that "
                 "claims 20 classes omits it; there are 21); its counts "
                 "match the generalized Catalan numbers empirically"),
@@ -311,8 +302,7 @@ _NOTE_111 = ("verification refutes the m = 2 claim for n >= 2: avoiding 111 "
 for _other in ("123", "132", "112", "121"):
     _ENTRIES.append(_entry(
         "111", _other, "shortcut for pairs containing the triple repeat",
-        "report-only", "n >= 1, m >= 2", _n1m2,
-        lambda n, m: catalan(n) if m == 2 else 0, note=_NOTE_111))
+        "report-only", lambda n, m: catalan(n) if m == 2 else 0, note=_NOTE_111))
 
 REGISTRY: Mapping[Pair, FormulaEntry] = {e.pair: e for e in _ENTRIES}
 
@@ -321,11 +311,10 @@ assert len(REGISTRY) == len(_ENTRIES), "registry keys must be distinct"
 
 # -- ordinary permutations (m = 1) ----------------------------------------------
 
-_M1_POWERS = {canonical_pair((Pattern.parse(a), Pattern.parse(b)))
-              for a, b in (("123", "132"), ("132", "213"),
-                           ("132", "231"), ("132", "312"))}
-_M1_BINOM = canonical_pair((Pattern.parse("123"), Pattern.parse("231")))
-_M1_CROSS = canonical_pair((Pattern.parse("123"), Pattern.parse("321")))
+_M1_POWERS = {canonical_pair(pair) for pair in (("123", "132"), ("132", "213"),
+                                                 ("132", "231"), ("132", "312"))}
+_M1_BINOM = canonical_pair(("123", "231"))
+_M1_CROSS = canonical_pair(("123", "321"))
 
 
 def _ordinary_pair_count(rep: Pair, n: int) -> BigCount:
@@ -356,24 +345,10 @@ def _m1_count(rep: Pair, n: int) -> BigCount:
 
 # -- dispatcher -------------------------------------------------------------------
 
-def _representative(pair) -> Pair:
-    # A registry key is a representative already: the gentree suite passes
-    # one per cell of its tall grid.  Lists and other unhashable inputs
-    # cannot be keys.
-    try:
-        if pair in REGISTRY:
-            return pair
-    except TypeError:
-        pass
-    return canonical_pair(pair)
-
-
 def _serve(pair, n: int, m: int, proved_only: bool) -> BigCount:
-    # canonical_pair costs more than most evaluators: call it at most once
-    # per count
     if n < 0 or m < 1:
         raise OutOfDomain("need n >= 0 and m >= 1")
-    rep = _representative(pair)
+    rep = canonical_pair(pair)
     if n == 0:
         return 1
     if m == 1:

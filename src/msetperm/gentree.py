@@ -16,9 +16,11 @@ label rather than quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .errors import UnknownRule
+from .classify import canonical_pair
+from .core import first_ascent, first_descent, first_repetition
+from .errors import UnknownRule, Unsupported
 
 #: Dead label: such nodes are counted but never extended.
 DEAD = "N"
@@ -140,34 +142,59 @@ def _expect_int(label: Label, minimum: int, maximum: int | None = None) -> int:
     return label
 
 
-_BUILTIN = {
-    "112-122@m2": _rule_repetition,
-    "122-123": _rule_first_ascent,
-    "211-213": _rule_descent_offset,
-    "122-213": _rule_first_descent,
+class _Rule(NamedTuple):
+    factory: Callable[[int], SuccessionRule]
+    pair: tuple[str, str]
+    statistic: Callable[[Sequence[int]], int] | None
+    fixed_m: int | None
+
+
+#: One row per built-in rule: its factory; the pattern pair whose avoiders
+#: the tree counts; the positional statistic its labels record, so that the
+#: profile at height n is that statistic's distribution over the avoiders of
+#: [n]_m (None: the 211-213 labels record none); and the one m the rule is
+#: fixed to (None: any m >= 2).
+_RULES = {
+    "112-122@m2": _Rule(_rule_repetition, ("112", "122"), first_repetition, 2),
+    "122-123": _Rule(_rule_first_ascent, ("122", "123"), first_ascent, None),
+    "211-213": _Rule(_rule_descent_offset, ("211", "213"), None, None),
+    "122-213": _Rule(_rule_first_descent, ("122", "213"), first_descent, None),
 }
 
 #: Rule name -> the pattern pair whose avoiders the tree counts.
-RULE_PATTERN_PAIRS = {
-    "112-122@m2": ("112", "122"),
-    "122-123": ("122", "123"),
-    "211-213": ("211", "213"),
-    "122-213": ("122", "213"),
-}
+RULE_PATTERN_PAIRS = {name: row.pair for name, row in _RULES.items()}
+#: Rule name -> the statistic its labels record, for the labelled rules.
+LABEL_STATISTICS = {name: row.statistic for name, row in _RULES.items()
+                    if row.statistic is not None}
+_RULE_BY_CLASS = {canonical_pair(row.pair): name for name, row in _RULES.items()}
+
+
+def rule_ms(name: str, m_max: int) -> tuple[int, ...]:
+    """The multiplicities up to m_max that rule name takes (its fixed m
+    whatever m_max)."""
+    fixed = _RULES[name].fixed_m
+    return (fixed,) if fixed is not None else tuple(range(2, m_max + 1))
 
 
 def builtin_rule(name: str, m: int = 2) -> SuccessionRule:
-    """One of the four built-in succession rules.
-
-    "112-122@m2" is only valid at m = 2; the other three take any m >= 2.
-    """
-    if name not in _BUILTIN:
-        raise UnknownRule(f"unknown rule {name!r}; choose from {sorted(_BUILTIN)}")
+    """One of the four built-in succession rules, at an m >= 2 that its
+    table row allows."""
+    row = _RULES.get(name)
+    if row is None:
+        raise UnknownRule(f"unknown rule {name!r}; choose from {sorted(_RULES)}")
     if m < 2:
         raise UnknownRule(f"rule {name!r} needs m >= 2")
-    if name == "112-122@m2" and m != 2:
-        raise UnknownRule("rule '112-122@m2' fixes m = 2")
-    return _BUILTIN[name](m)
+    if row.fixed_m not in (None, m):
+        raise UnknownRule(f"rule {name!r} fixes m = {row.fixed_m}")
+    return row.factory(m)
+
+
+def rule_for(pair, m: int) -> SuccessionRule:
+    """The built-in rule that counts pair's symmetry class, at m."""
+    name = _RULE_BY_CLASS.get(canonical_pair(pair))
+    if name is None:
+        raise Unsupported(f"no built-in succession rule covers {pair}")
+    return builtin_rule(name, m)
 
 
 def levels(rule: SuccessionRule, height: int) -> Iterator[Profile]:

@@ -31,13 +31,11 @@ from .core import (
     MultisetPermutation,
     PatternSet,
     avoids_all,
-    first_ascent,
-    first_descent,
-    first_repetition,
     left_to_right_minima,
 )
 from .enumeration import LIST_LENGTH_BUDGET, count_avoiders, list_avoiders
 from .formulas import (
+    RECURRENCE_FAMILIES,
     REGISTRY,
     catalan,
     closed_count,
@@ -48,7 +46,15 @@ from .formulas import (
     rothe,
     stirling_count,
 )
-from .gentree import DEAD, RULE_PATTERN_PAIRS, Profile, builtin_rule, levels
+from .gentree import (
+    DEAD,
+    LABEL_STATISTICS,
+    RULE_PATTERN_PAIRS,
+    Profile,
+    builtin_rule,
+    levels,
+    rule_ms,
+)
 from .growth import check_stirling_identity, word_counts_by_length
 
 
@@ -110,8 +116,6 @@ def _grid(n_max: int, m_max: int, budget: int = _GRID_BUDGET):
                 yield n, m
 
 
-#: The proved rows whose counts also satisfy a recurrence with a Binet form.
-_RECURRENCE_PAIRS = (("211", "213"), ("122", "213"))
 #: Counts quoted in the paper's text, checked wherever the grid reaches them.
 _QUOTED_VALUES = {(("122", "321"), 2, 3): 4, (("112", "122"), 3, 2): 5,
                   (("112", "122"), 4, 3): 8}
@@ -124,7 +128,7 @@ def _row_failures(entry, cells: Iterable[tuple[int, int]]) -> Iterator[str]:
         oracle = count_avoiders(n, m, PatternSet(entry.pair))
         claims = {"formula": closed_count(entry.pair, n, m),
                   "quoted": _QUOTED_VALUES.get((entry.table_pair, n, m))}
-        if n and entry.table_pair in _RECURRENCE_PAIRS:
+        if n and entry.pair in RECURRENCE_FAMILIES:
             claims["recurrence"] = recurrence_count(entry.pair, n, m)
         for source, value in claims.items():
             if value is not None and value != oracle:
@@ -155,9 +159,7 @@ def imported_agreement_report(n_max: int = 4, m_max: int = 3) -> list[AgreementR
         if entry.trust == "proved-here" or not entry.is_servable():
             continue
         for n, m in _grid(n_max, m_max):
-            formula = None
-            if entry.validity(n, m):
-                formula = entry.evaluator(n, m)
+            formula = entry.evaluator(n, m) if entry.validity(n, m) else None
             oracle = count_avoiders(n, m, PatternSet(entry.pair))
             rows.append(AgreementRow(entry.table_pair, entry.trust, n, m,
                                      formula, oracle))
@@ -166,20 +168,9 @@ def imported_agreement_report(n_max: int = 4, m_max: int = 3) -> list[AgreementR
 
 # -- generating trees ---------------------------------------------------------------
 
-#: The positional statistic that each labelled rule's labels record: the
-#: profile at height n is that statistic's distribution over the avoiders of
-#: [n]_m.  The 211-213 labels record none.
-_LABEL_STATISTICS = {
-    "112-122@m2": first_repetition,
-    "122-123": first_ascent,
-    "122-213": first_descent,
-}
-
-
 def _tree_tops(name: str, m_max: int, top: Callable[[int], int]) -> dict[int, int]:
     """The top height top(m) at each m up to m_max that the rule takes."""
-    ms = range(2, 3) if name == "112-122@m2" else range(2, m_max + 1)
-    return {m: top(m) for m in ms}
+    return {m: top(m) for m in rule_ms(name, m_max)}
 
 
 def _tree_levels(name: str, tops: dict[int, int]) -> Iterator[tuple[int, int, Profile]]:
@@ -192,7 +183,7 @@ def _tree_levels(name: str, tops: dict[int, int]) -> Iterator[tuple[int, int, Pr
 
 def _label_failures(name: str, tops: dict[int, int]) -> Iterator[str]:
     patterns = PatternSet.of(*RULE_PATTERN_PAIRS[name])
-    statistic = _LABEL_STATISTICS[name]
+    statistic = LABEL_STATISTICS[name]
     for n, m, profile in _tree_levels(name, tops):
         oracle = Counter(statistic(sigma.letters)
                          for sigma in list_avoiders(n, m, patterns))
@@ -234,11 +225,12 @@ def verify_gentree(n_max: int = 6, m_max: int = 3) -> list[CheckResult]:
             if (tree := sum(profile.values()))
             != (oracle := count_avoiders(n, m, patterns))), cells(tops)))
     # labels: each height's profile is its statistic's distribution
-    for name in _LABEL_STATISTICS:
+    for name in LABEL_STATISTICS:
         tops = _tree_tops(name, m_max, grid_top)
         results.append(_check("gentree", f"{name}-labels",
                               _label_failures(name, tops), cells(tops)))
-    # tall grid: trees against formulas, given each pair's representative
+    # tall grid: trees against formulas, given each pair's patterns parsed
+    # once rather than once per cell
     for name, pair in RULE_PATTERN_PAIRS.items():
         rep = canonical_pair(pair)
         tops = _tree_tops(name, _TALL_M, lambda m: _TALL_N)
@@ -247,13 +239,11 @@ def verify_gentree(n_max: int = 6, m_max: int = 3) -> list[CheckResult]:
             for n, m, profile in _tree_levels(name, tops)
             if (expected := proved_count(rep, n, m))
             != (actual := sum(profile.values()))), f"n <= {_TALL_N}"))
-    # explicit forms match the recurrences they solve; given representatives,
-    # neither function calls canonical_pair again
-    reps = {pair: canonical_pair(pair) for pair in _RECURRENCE_PAIRS}
+    # explicit forms match the recurrences they solve
     results.append(_check(
         "gentree", "explicit-vs-recurrence",
-        (f"explicit != recurrence at pair={pair}, n={n}, m={m}"
-         for pair, rep in reps.items()
+        (f"explicit != recurrence at pair=({rep[0]},{rep[1]}), n={n}, m={m}"
+         for rep in RECURRENCE_FAMILIES
          for m in range(2, 7)
          for n in range(1, 201)
          if explicit_count(rep, n, m) != recurrence_count(rep, n, m)),

@@ -1,15 +1,21 @@
 """The benchmark in perfbench/ reaches into the package by name: the traced
-run patches every (module, attribute) in tracing.TRACED, and the workloads
-call a few package exports.  A refactor that drops or moves one of these
-names breaks the benchmark, so the names are checked here."""
+run patches every (module, attribute) in tracing.TRACED, the workloads call
+a few package exports, and make_truth.py reads the rule and formula tables.
+A refactor that drops or moves one of these names breaks the benchmark, so
+the names are checked here."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import msetperm
+from msetperm.core import Pattern
+from msetperm.formulas import REGISTRY
+from msetperm.gentree import RULE_PATTERN_PAIRS
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+MAKE_TRUTH = PERFBENCH / "make_truth.py"
 
 
 def _traced() -> tuple[tuple[str, str], ...]:
@@ -34,3 +40,25 @@ def test_every_traced_name_resolves():
 def test_workload_exports_exist():
     for name in ("count_at_height", "builtin_rule", "closed_count", "count_avoiders"):
         assert callable(getattr(msetperm, name)), name
+
+
+def test_make_truth_imports_resolve():
+    # read, not run: the script refuses to overwrite the checked-in table
+    imports = [node for node in ast.walk(ast.parse(MAKE_TRUTH.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "msetperm"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), (node.module, alias.name)
+
+
+def test_make_truth_reads_the_rule_and_formula_tables():
+    assert RULE_PATTERN_PAIRS
+    for name, pair in RULE_PATTERN_PAIRS.items():
+        assert isinstance(name, str) and len(pair) == 2, name
+        for text in pair:
+            assert isinstance(text, str) and str(Pattern.parse(text)) == text, (name, text)
+    for entry in REGISTRY.values():
+        assert isinstance(entry.validity(2, 2), bool), entry.table_pair

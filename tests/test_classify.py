@@ -46,6 +46,12 @@ class TestClosure:
         for member in symmetry_closure(("122", "123")).members:
             assert canonical_pair(member) == rep
 
+    def test_canonical_pair_ignores_the_input_shape(self):
+        rep = canonical_pair(("122", "213"))
+        assert canonical_pair(["122", "213"]) == rep
+        assert canonical_pair([[2, 1, 3], [1, 2, 2]]) == rep
+        assert canonical_pair(PatternSet.of("213", "122")) == rep
+
 
 class TestClassification:
     def test_pair_and_class_totals(self):

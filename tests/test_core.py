@@ -268,10 +268,6 @@ class TestTypesAndParsing:
     def test_compact_round_trip(self):
         assert str(P("44323121")) == "44323121"
 
-    def test_restrict(self):
-        sigma = P("443322421311")
-        assert sigma.restrict(2).letters == (2, 2, 2, 1, 1, 1)
-
     def test_pattern_set_dedup_and_order(self):
         ps = PatternSet.of("212", "112", "212")
         assert [str(p) for p in ps] == ["112", "212"]

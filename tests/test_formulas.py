@@ -149,6 +149,11 @@ class TestClosedCount:
         assert trusts == {"proved-here", "imported", "report-only"}
         servable = [r for r in rows if r["servable"]]
         assert len(servable) == len(rows) - 3  # two recursion-only + one uncovered
+        validity = {tuple(r["table_pair"]): r["validity"] for r in rows}
+        for pair in (("123", "132"), ("132", "213"), ("212", "213")):
+            assert validity.pop(pair) == "-"
+        assert validity.pop(("132", "231")) == "n >= 2, m >= 2"
+        assert set(validity.values()) == {"n >= 1, m >= 2"}
 
     def test_proved_rows_match_oracle_small(self):
         proved = [e for e in REGISTRY.values() if e.trust == "proved-here"]

@@ -1,17 +1,21 @@
 import dataclasses
+import re
 
 import pytest
 
-from msetperm.core import PatternSet
+from msetperm.classify import symmetry_closure
+from msetperm.core import PatternSet, first_ascent, first_descent, first_repetition
 from msetperm.enumeration import count_avoiders
-from msetperm.errors import UnknownRule
+from msetperm.errors import UnknownRule, Unsupported
 from msetperm.formulas import catalan, generalized_catalan, recurrence_count
 from msetperm.gentree import (
     DEAD,
+    LABEL_STATISTICS,
     RULE_PATTERN_PAIRS,
     builtin_rule,
     count_at_height,
     levels,
+    rule_for,
 )
 
 
@@ -113,6 +117,35 @@ class TestCounting:
         rule = builtin_rule("211-213", m)
         assert count_at_height(rule, 2) == m + 1
         assert count_at_height(rule, 3) == 2 * (m + 1) + 1
+
+
+class TestRuleTable:
+    def test_rule_for_serves_every_orbit_member(self):
+        # each member of a rule's symmetry class gets the rule itself, and
+        # an m the rule does not take is refused as builtin_rule refuses it
+        for name, pair in RULE_PATTERN_PAIRS.items():
+            for m in (2, 3, 4):
+                try:
+                    expected = [sum(p.values()) for p in levels(builtin_rule(name, m), 8)]
+                except UnknownRule as exc:
+                    for member in symmetry_closure(pair).members:
+                        with pytest.raises(UnknownRule, match=re.escape(str(exc))):
+                            rule_for(member, m)
+                    continue
+                for member in symmetry_closure(pair).members:
+                    rule = rule_for(member, m)
+                    assert rule.name == name, (member, m)
+                    assert [sum(p.values()) for p in levels(rule, 8)] == expected
+
+    def test_rule_for_refuses_a_pair_without_a_rule(self):
+        with pytest.raises(Unsupported) as exc:
+            rule_for(("123", "132"), 2)
+        assert str(exc.value) == "no built-in succession rule covers ('123', '132')"
+
+    def test_label_statistics_cover_the_labelled_rules(self):
+        assert LABEL_STATISTICS == {"112-122@m2": first_repetition,
+                                    "122-123": first_ascent,
+                                    "122-213": first_descent}
 
 
 def _branches(rule, height):
