@@ -12,7 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import LENGTH3_PATTERNS, Pattern, PatternSet
+from .core import LENGTH3_PATTERNS, Pattern, PatternSet, as_pattern
 from .enumeration import COUNT_LENGTH_BUDGET, count_avoiders
 from .errors import BudgetExceeded
 
@@ -20,21 +20,10 @@ Pair = tuple[Pattern, Pattern]
 
 
 def _as_pair(pair) -> Pair:
-    if isinstance(pair, PatternSet):
-        pats = tuple(pair)
-    else:
-        pats = []
-        for p in pair:
-            if isinstance(p, Pattern):
-                pats.append(p)
-            elif isinstance(p, str):
-                pats.append(Pattern.parse(p))
-            else:
-                pats.append(Pattern(tuple(p)))
+    pats = [as_pattern(p) for p in pair]
     if len(pats) != 2:
         raise ValueError("expected exactly two distinct patterns")
-    a, b = sorted(pats)
-    return (a, b)
+    return tuple(sorted(pats))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 unsupported pair/method (including a formula row
 that is not proved here under --method formula) or a refused option (a
 size option out of range, such as --n -1 or --m 0, is refused by argparse
 with its usage and a one-line error), 3 outside a formula's validity
-domain, 4 enumeration budget exceeded, 5 verification failure.
+domain, 4 enumeration budget exceeded, 5 verification failure (a failed or
+faulting verify check, or an --method all cross-check mismatch).
 Output is a human table by default; --csv, --records (JSON lines), and
 --bfile (sequence lines "n value" at fixed m) serve scripts.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import bijections as bij
 from .cache import CountCache
-from .classify import class_table, classify_all_length3, empirical_wilf_classes
+from .classify import class_table, empirical_wilf_classes
 from .core import MultisetPermutation, PatternSet
 from .enumeration import count_avoiders
 from .errors import (
@@ -221,7 +222,6 @@ def cmd_bijection(args) -> int:
 # -- classify / table / growth ----------------------------------------------------
 
 def cmd_classify(args) -> int:
-    classes = classify_all_length3()
     table = class_table()
     records = []
     for cls in table:
@@ -235,7 +235,7 @@ def cmd_classify(args) -> int:
         })
     _emit(records, ["representative", "orbit_size", "formula", "members"], args)
     total = sum(c["orbit_size"] for c in table)
-    print(f"{total} pairs in {len(classes)} classes")
+    print(f"{total} pairs in {len(table)} classes")
     if args.empirical:
         groups = empirical_wilf_classes(args.nmax, args.mmax)
         print(f"empirical grouping on the grid: {len(groups)} groups")

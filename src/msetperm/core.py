@@ -191,6 +191,16 @@ def normalize_pattern(raw: Sequence[int]) -> Pattern:
     return Pattern(tuple(rank[v] for v in raw))
 
 
+def as_pattern(spec: Pattern | str | Sequence[int]) -> Pattern:
+    """The package's one reading of a pattern: a Pattern as given, a string
+    through Pattern.parse, letters through normalize_pattern (275 -> 132)."""
+    if isinstance(spec, Pattern):
+        return spec
+    if isinstance(spec, str):
+        return Pattern.parse(spec)
+    return normalize_pattern(tuple(spec))
+
+
 @dataclass(frozen=True)
 class PatternSet:
     """A deduplicated set of patterns in canonical sort order."""
@@ -203,15 +213,7 @@ class PatternSet:
 
     @classmethod
     def of(cls, *specs: Pattern | str | Sequence[int]) -> "PatternSet":
-        pats = []
-        for s in specs:
-            if isinstance(s, Pattern):
-                pats.append(s)
-            elif isinstance(s, str):
-                pats.append(Pattern.parse(s))
-            else:
-                pats.append(normalize_pattern(tuple(s)))
-        return cls(tuple(pats))
+        return cls(tuple([as_pattern(s) for s in specs]))
 
     def reverse(self) -> "PatternSet":
         return PatternSet(tuple(p.reverse() for p in self.patterns))
@@ -230,6 +232,13 @@ class PatternSet:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(p) for p in self.patterns) + "}"
+
+
+def as_pattern_set(patterns: PatternSet | Iterable) -> PatternSet:
+    """A PatternSet as given, else the set of patterns read by as_pattern."""
+    if isinstance(patterns, PatternSet):
+        return patterns
+    return PatternSet.of(*patterns)
 
 
 # -- containment ---------------------------------------------------------------

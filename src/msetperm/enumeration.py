@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, Sequence
 
-from .core import _BLOCKS, MultisetPermutation, PatternSet, contains
+from .core import _BLOCKS, MultisetPermutation, PatternSet, as_pattern_set, contains
 from .errors import BudgetExceeded
 
 #: Largest permutation length materialized (generate/list).
@@ -50,12 +50,8 @@ def _check_budget(length: int, budget: int) -> None:
 # The O(1) terms of the two masks, _BLOCKS, live in core with containment.
 
 
-class _Stop(Exception):
-    """Raised inside walk when visit asks to stop."""
-
-
 def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
-         visit: Callable[[list[int]], bool] | None = None) -> list[int]:
+         visit: Callable[[list[int]], object] | None = None) -> list[int]:
     """The package's one prefix search over prefixes that use each letter c
     at most capacity[c] times (capacity is 1-indexed by letter).  counts[d]
     is the number of avoidance-clean prefixes of length d.
@@ -101,8 +97,8 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     Neither key canonicalizes under symmetry.
 
     visit(prefix) sees each full-length prefix in lexicographic order (copy
-    it to keep it); a False return stops the search, and counts are then
-    not filled.
+    it to keep it).  Its return value is ignored: the walk always runs to
+    the end, so counts is always filled.
     """
     fast = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
     slow = [p for p in patterns if p.letters not in _BLOCKS]
@@ -145,8 +141,7 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
             c = low.bit_length() - 1
             if last:
                 prefix.append(c)
-                if not visit(prefix):
-                    raise _Stop
+                visit(prefix)
                 prefix.pop()
                 total += 1
             else:
@@ -173,10 +168,7 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
         if visit is not None:
             visit(prefix)
         return counts
-    try:
-        total = rec(0, 0, 0, letters)
-    except _Stop:
-        return counts
+    total = rec(0, 0, 0, letters)
     if dead_if_blocked:
         counts[depth] = total
     else:
@@ -185,17 +177,13 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     return counts
 
 
-def _list(n: int, mu: tuple[int, ...], patterns: PatternSet,
-          limit: int | None) -> list[MultisetPermutation]:
+def _list(n: int, mu: tuple[int, ...], patterns: PatternSet
+          ) -> list[MultisetPermutation]:
     total = sum(mu)
     _check_budget(total, LIST_LENGTH_BUDGET)
     out: list[MultisetPermutation] = []
-
-    def visit(prefix: list[int]) -> bool:
-        out.append(MultisetPermutation(tuple(prefix), n, mu))
-        return limit is None or len(out) < limit
-
-    walk(n, (0,) + mu, total, patterns, visit)
+    walk(n, (0,) + mu, total, patterns,
+         lambda prefix: out.append(MultisetPermutation(tuple(prefix), n, mu)))
     return out
 
 
@@ -207,12 +195,12 @@ def generate_all(n: int, mu: Sequence[int]) -> Iterator[MultisetPermutation]:
     mu = tuple(mu)
     if n < 0 or len(mu) != n or any(m < 1 for m in mu):
         raise ValueError("need n >= 0 and a positive multiplicity for each letter")
-    return iter(_list(n, mu, PatternSet(()), None))
+    return iter(_list(n, mu, PatternSet(())))
 
 
 def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence) -> int:
     """|{sigma on [n]_m : sigma avoids every pattern}| by pruned search."""
-    patterns = _as_pattern_set(patterns)
+    patterns = as_pattern_set(patterns)
     if n < 0 or (n > 0 and m < 1):
         raise ValueError("need n >= 0 and m >= 1")
     if n == 0:
@@ -224,17 +212,13 @@ def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence) -> int:
     return walk(n, (0,) + (m,) * n, n * m, patterns)[n * m]
 
 
-def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence,
-                  limit: int | None = None) -> list[MultisetPermutation]:
-    """The avoiders themselves, lexicographically, up to limit items."""
-    patterns = _as_pattern_set(patterns)
+def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence
+                  ) -> list[MultisetPermutation]:
+    """The avoiders themselves, in lexicographic order."""
+    patterns = as_pattern_set(patterns)
     if n < 0 or (n > 0 and m < 1):
         raise ValueError("need n >= 0 and m >= 1")
-    if limit is not None and limit < 0:
-        raise ValueError("need limit >= 0")
-    if limit == 0:
-        return []
-    return _list(n, (m,) * n, patterns, limit)
+    return _list(n, (m,) * n, patterns)
 
 
 def word_counts_by_length(n: int, max_length: int,
@@ -245,14 +229,8 @@ def word_counts_by_length(n: int, max_length: int,
     never add up to the depth, not even at n = 1: walk counts every level,
     and when every pattern has length 2 or 3 it takes its word memo branch,
     keyed on the state that the patterns read."""
-    patterns = _as_pattern_set(patterns)
+    patterns = as_pattern_set(patterns)
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")
     _check_budget(max_length, COUNT_LENGTH_BUDGET)
     return walk(n, (0,) + (max_length + 1,) * n, max_length, patterns)
-
-
-def _as_pattern_set(patterns) -> PatternSet:
-    if isinstance(patterns, PatternSet):
-        return patterns
-    return PatternSet.of(*patterns)

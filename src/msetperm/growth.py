@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Pattern, PatternSet
+from .core import Pattern, PatternSet, as_pattern_set
 from .enumeration import count_avoiders, word_counts_by_length
 from .errors import OutOfDomain, Unsupported
 from .formulas import proved_count, stirling_count
@@ -60,8 +60,7 @@ def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]
     here never count), and the rest by the enumeration oracle (subject to
     its length budget).
     """
-    if not isinstance(patterns, PatternSet):
-        patterns = PatternSet.of(*patterns)
+    patterns = as_pattern_set(patterns)
     rows = []
     for n, m in grid:
         count = _best_count(patterns, n, m)

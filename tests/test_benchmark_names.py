@@ -1,6 +1,7 @@
 """The benchmark in perfbench/ reaches into the package by name: the traced
 run patches every (module, attribute) in tracing.TRACED, the workloads call
-a few package exports, and make_truth.py reads the rule and formula tables.
+package exports through self.pkg and read verify's suites and results, and
+make_truth.py reads the rule and formula tables.
 A refactor that drops or moves one of these names breaks the benchmark, so
 the names are checked here."""
 
@@ -12,9 +13,11 @@ import msetperm
 from msetperm.core import Pattern
 from msetperm.formulas import REGISTRY
 from msetperm.gentree import RULE_PATTERN_PAIRS
+from msetperm.verify import CheckResult, run_suite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 MAKE_TRUTH = PERFBENCH / "make_truth.py"
 
 
@@ -37,9 +40,26 @@ def test_every_traced_name_resolves():
         assert callable(target), (module_name, attr)
 
 
+def _workload_exports() -> set[str]:
+    # read, not imported, as _traced() reads tracing.py: every self.pkg.<name>
+    return {node.attr for node in ast.walk(ast.parse(WORKLOADS.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "pkg" and getattr(node.value.value, "id", None) == "self"}
+
+
 def test_workload_exports_exist():
-    for name in ("count_at_height", "builtin_rule", "closed_count", "count_avoiders"):
+    names = _workload_exports()
+    assert names
+    for name in names:
         assert callable(getattr(msetperm, name)), name
+
+
+def test_evidence_reads_of_verify_exist():
+    # the evidence workload calls run_suite and reads hard, ok and line()
+    assert callable(run_suite)
+    result = CheckResult("suite", "check", ok=False, detail="why")
+    assert result.hard is True and result.ok is False
+    assert result.line() == "[FAIL] suite/check: why"
 
 
 def test_make_truth_imports_resolve():

@@ -51,6 +51,14 @@ class TestClosure:
         assert canonical_pair(["122", "213"]) == rep
         assert canonical_pair([[2, 1, 3], [1, 2, 2]]) == rep
         assert canonical_pair(PatternSet.of("213", "122")) == rep
+        # letters are reduced, as every pattern reader does: 275 reads as 132
+        assert canonical_pair([(2, 7, 5), (1, 2, 3)]) == canonical_pair(("132", "123"))
+
+    def test_canonical_pair_wants_two_patterns_equal_or_not(self):
+        p = Pattern.parse("123")
+        assert canonical_pair(("123", "123")) == (p, p)
+        with pytest.raises(ValueError):
+            canonical_pair(("122",))
 
 
 class TestClassification:

@@ -1,6 +1,15 @@
+import dataclasses
+
+import pytest
+
+from msetperm import bijections, cli, verify
+from msetperm.core import MultisetPermutation
+from msetperm.errors import BudgetExceeded
 from msetperm.verify import (
     imported_agreement_report,
+    run_suite,
     verify_bijections,
+    verify_gentree,
     verify_table1,
 )
 
@@ -54,3 +63,59 @@ def test_bijection_suite_names():
     names = {r.name for r in verify_bijections()}
     assert names == {"worked-examples", "dyck-round-trip", "label-round-trip",
                      "path-round-trip", "minima-map"}
+
+
+# -- a fault raised inside a check is that check's failure ---------------------
+
+def _refill_increasing(sigma):
+    """simion_schmidt_f refilling the free slots in increasing order: the
+    result contains 123 (43421231 -> 43221341), so the map's own codomain
+    check raises NotInDomain."""
+    _, free = bijections._minima_split(sigma)
+    letters = list(sigma.letters)
+    for slot, value in zip(free, sorted(letters[i - 1] for i in free)):
+        letters[slot - 1] = value
+    tau = MultisetPermutation(tuple(letters), sigma.alphabet_size, sigma.multiplicity)
+    bijections._require_avoids(tau, bijections.PAIR_122_123)
+    return tau
+
+
+def test_a_map_leaving_its_codomain_fails_its_checks(monkeypatch, capsys):
+    monkeypatch.setattr(bijections, "simion_schmidt_f", _refill_increasing)
+    results = {r.name: r for r in run_suite("bijections")}
+    assert list(results) == ["worked-examples", "dyck-round-trip", "label-round-trip",
+                             "path-round-trip", "minima-map"]
+    for name in ("worked-examples", "minima-map"):
+        assert not results[name].ok
+        assert results[name].detail.startswith("NotInDomain: "), results[name].detail
+    assert "43221341 contains 123" in results["worked-examples"].detail
+    assert all(results[name].ok for name in
+               ("dyck-round-trip", "label-round-trip", "path-round-trip"))
+    assert cli.main(["verify", "--suite", "bijections"]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5
+    assert lines[0].startswith("[FAIL] bijections/worked-examples: NotInDomain: ")
+
+
+def test_a_rule_that_raises_fails_its_checks(monkeypatch):
+    builtin_rule = verify.builtin_rule
+
+    def children(label):
+        raise AssertionError(f"label {label!r} is unreachable")
+
+    def broken(name, m=2):
+        rule = builtin_rule(name, m)
+        return dataclasses.replace(rule, children=children) if name == "122-213" else rule
+
+    monkeypatch.setattr(verify, "builtin_rule", broken)
+    results = verify_gentree(n_max=3, m_max=2)
+    failed = {r.name: r.detail for r in results if not r.ok}
+    assert set(failed) == {"122-213-vs-oracle", "122-213-labels", "122-213-vs-formula"}
+    assert all(detail == "AssertionError: label 1 is unreachable"
+               for detail in failed.values()), failed
+    assert len(results) == 13
+
+
+def test_a_refused_scope_still_ends_the_suite():
+    with pytest.raises(BudgetExceeded):
+        run_suite("growth", word_max=19)
