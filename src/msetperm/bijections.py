@@ -157,7 +157,11 @@ class LabelSequence:
 
     @classmethod
     def parse(cls, text: str, m: int) -> "LabelSequence":
-        return cls(tuple(int(t) for t in text.replace(",", " ").split()), m)
+        try:
+            values = tuple(int(t) for t in text.replace(",", " ").split())
+        except ValueError:
+            raise InvalidLabelSequence(f"cannot parse labels from {text!r}") from None
+        return cls(values, m)
 
 
 def perm_to_labels(sigma: MultisetPermutation) -> LabelSequence:
@@ -296,10 +300,10 @@ def enumerate_paths(n: int, m: int) -> Iterator[LatticePath]:
 
 # -- the minima-fixing map -------------------------------------------------------
 
-def _minima_split(sigma: MultisetPermutation):
+def _free_slots(sigma: MultisetPermutation) -> list[int]:
+    """The positions that are not left-to-right minima, in ascending order."""
     minima = set(left_to_right_minima(sigma))
-    free = [i for i in range(1, sigma.length + 1) if i not in minima]
-    return minima, free
+    return [i for i in range(1, len(sigma) + 1) if i not in minima]
 
 
 def simion_schmidt_f(sigma: MultisetPermutation) -> MultisetPermutation:
@@ -309,12 +313,12 @@ def simion_schmidt_f(sigma: MultisetPermutation) -> MultisetPermutation:
     Maps (122,132)-avoiders to (122,123)-avoiders with the same minima.
     """
     _require_avoids(sigma, PAIR_122_132)
-    _, free = _minima_split(sigma)
+    free = _free_slots(sigma)
     letters = list(sigma.letters)
     removed = sorted((letters[i - 1] for i in free), reverse=True)
     for slot, value in zip(free, removed):
         letters[slot - 1] = value
-    out = MultisetPermutation(tuple(letters), sigma.alphabet_size, sigma.multiplicity)
+    out = MultisetPermutation(tuple(letters))
     _require_avoids(out, PAIR_122_123)
     return out
 
@@ -323,7 +327,7 @@ def simion_schmidt_g(tau: MultisetPermutation) -> MultisetPermutation:
     """Inverse of simion_schmidt_f: refill each free slot with the smallest
     unused letter exceeding the closest minimum to its left."""
     _require_avoids(tau, PAIR_122_123)
-    minima, free = _minima_split(tau)
+    free = _free_slots(tau)
     letters = list(tau.letters)
     pool: list[int] = []
     for i in free:
@@ -339,6 +343,6 @@ def simion_schmidt_g(tau: MultisetPermutation) -> MultisetPermutation:
             out[i - 1] = pool.pop(k)
         else:
             floor = letters[i - 1]
-    res = MultisetPermutation(tuple(out), tau.alphabet_size, tau.multiplicity)
+    res = MultisetPermutation(tuple(out))
     _require_avoids(res, PAIR_122_132)
     return res

@@ -4,10 +4,12 @@ Only the pruned-search oracle is cached; formulas, recurrences and
 succession rules recompute faster than the file is read.  One JSON record
 per line, keyed by a digest of (pair as given, n, m).  Counts are stored as
 strings so any tool can read the file without big-integer support.  A
-corrupt line is skipped with a warning, and a hit whose key falls in a
-fixed 1-in-AUDIT_EVERY bucket is recomputed on every lookup, so the cache
-can only cost a recomputation, never produce a wrong answer.  Writes take
-an exclusive advisory lock so concurrent CLI runs append safely.
+corrupt line is skipped with a warning.  The audit is deterministic: a hit
+whose key falls in a fixed 1-in-AUDIT_EVERY bucket is recomputed on every
+lookup, and any other hit is returned as stored.  So a well-formed record
+with a wrong count is caught only in that bucket; under any other key it is
+served until the file is removed.  Writes take an exclusive advisory lock
+so concurrent CLI runs append safely.
 """
 
 from __future__ import annotations

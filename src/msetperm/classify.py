@@ -30,12 +30,14 @@ def _as_pair(pair) -> Pair:
 class PatternPairClass:
     """One orbit of an unordered pattern pair under reverse/complement."""
 
-    representative: Pair
     members: tuple[Pair, ...]
 
     def __post_init__(self) -> None:
-        assert self.representative == min(self.members)
         assert 4 % len(self.members) == 0
+
+    @property
+    def representative(self) -> Pair:
+        return min(self.members)
 
     def __contains__(self, pair) -> bool:
         return _as_pair(pair) in self.members
@@ -60,8 +62,7 @@ def symmetry_closure(pair) -> PatternPairClass:
     for f in _SYMMETRIES:
         fa, fb = f(a), f(b)
         members.add((fa, fb) if fa < fb else (fb, fa))
-    ordered = tuple(sorted(members))
-    return PatternPairClass(ordered[0], ordered)
+    return PatternPairClass(tuple(sorted(members)))
 
 
 def canonical_pair(pair) -> Pair:
@@ -121,24 +122,3 @@ def empirical_wilf_classes(n_max: int, m_max: int
     return tuple(tuple(g) for g in sorted(groups.values(),
                                           key=lambda g: g[0].representative))
 
-
-def class_table() -> list[dict]:
-    """Machine-readable classification table with a pointer into the
-    formula catalog for classes that have one."""
-    from .formulas import REGISTRY  # local import: formulas builds on classify
-
-    rows = []
-    for cls in classify_all_length3():
-        a, b = cls.representative
-        entry = REGISTRY.get(cls.representative)
-        rows.append({
-            "representative": [str(a), str(b)],
-            "members": [[str(x), str(y)] for x, y in cls.members],
-            "orbit_size": len(cls.members),
-            "formula": None if entry is None else {
-                "table_pair": list(entry.table_pair),
-                "trust": entry.trust,
-                "servable": entry.is_servable(),
-            },
-        })
-    return rows

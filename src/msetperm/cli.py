@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import bijections as bij
 from .cache import CountCache
-from .classify import class_table, empirical_wilf_classes
+from .classify import classify_all_length3, empirical_wilf_classes
 from .core import MultisetPermutation, PatternSet
 from .enumeration import count_avoiders
 from .errors import (
@@ -32,10 +32,10 @@ from .errors import (
 )
 from .formulas import (
     REGISTRY,
-    _recurrence_terms,
     catalog,
     proved_count,
     recurrence_count,
+    recurrence_terms,
 )
 from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height, levels, rule_for
 from .growth import growth_table
@@ -100,7 +100,7 @@ def cmd_count(args) -> int:
             return 0
         if args.method == "recurrence":
             # one pass of the recurrence serves every line
-            for n, value in enumerate(_recurrence_terms(pair, args.nmax, args.m), 1):
+            for n, value in enumerate(recurrence_terms(pair, args.nmax, args.m), 1):
                 print(f"{n} {value}")
             return 0
         for n in range(1, args.nmax + 1):
@@ -222,20 +222,21 @@ def cmd_bijection(args) -> int:
 # -- classify / table / growth ----------------------------------------------------
 
 def cmd_classify(args) -> int:
-    table = class_table()
+    classes = classify_all_length3()
     records = []
-    for cls in table:
-        formula = cls["formula"]
+    for cls in classes:
+        a, b = cls.representative
+        entry = REGISTRY.get(cls.representative)
         records.append({
-            "representative": ",".join(cls["representative"]),
-            "orbit_size": cls["orbit_size"],
-            "formula": "-" if formula is None else
-                       f"{','.join(formula['table_pair'])} [{formula['trust']}]",
-            "members": " ".join(",".join(m) for m in cls["members"]),
+            "representative": f"{a},{b}",
+            "orbit_size": len(cls.members),
+            "formula": "-" if entry is None else
+                       f"{','.join(entry.table_pair)} [{entry.trust}]",
+            "members": " ".join(f"{x},{y}" for x, y in cls.members),
         })
     _emit(records, ["representative", "orbit_size", "formula", "members"], args)
-    total = sum(c["orbit_size"] for c in table)
-    print(f"{total} pairs in {len(table)} classes")
+    total = sum(len(cls.members) for cls in classes)
+    print(f"{total} pairs in {len(classes)} classes")
     if args.empirical:
         groups = empirical_wilf_classes(args.nmax, args.mmax)
         print(f"empirical grouping on the grid: {len(groups)} groups")

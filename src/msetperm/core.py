@@ -22,28 +22,23 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import (
     InvalidPattern,
     InvalidPermutation,
+    MsetPermError,
     UnsupportedSymmetry,
 )
 
 Letters = tuple[int, ...]
 
 
-def _parse_letters(text: str) -> Letters:
+def _parse_letters(text: str, error: type[MsetPermError]) -> Letters:
     """Parse a one-line encoding: digits for alphabets up to 9, otherwise
-    space- or comma-separated integers."""
+    space- or comma-separated integers.  A token that is not an integer
+    raises error; the caller's type checks the values."""
     text = text.strip()
-    if not text:
-        return ()
-    if any(sep in text for sep in (" ", ",")):
-        parts = text.replace(",", " ").split()
-        letters = tuple(int(p) for p in parts)
-    else:
-        if not text.isdigit():
-            raise InvalidPermutation(f"cannot parse letters from {text!r}")
-        letters = tuple(int(ch) for ch in text)
-    if any(v <= 0 for v in letters):
-        raise InvalidPermutation("letters must be positive integers")
-    return letters
+    tokens = text.replace(",", " ").split() if " " in text or "," in text else text
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise error(f"cannot parse letters from {text!r}") from None
 
 
 def format_letters(letters: Sequence[int]) -> str:
@@ -57,62 +52,49 @@ def format_letters(letters: Sequence[int]) -> str:
 
 @dataclass(frozen=True)
 class MultisetPermutation:
-    """A permutation of {1^mu(1), ..., n^mu(n)}, stored as its letter sequence."""
+    """A permutation of {1^mu(1), ..., n^mu(n)}, stored as its letter sequence:
+    n and mu are read off the letters, so every value 1..max must occur."""
 
     letters: Letters
-    alphabet_size: int
-    multiplicity: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.alphabet_size
-        if n < 0 or len(self.multiplicity) != n:
-            raise InvalidPermutation("multiplicity vector must have length n")
-        if any(m < 1 for m in self.multiplicity):
-            raise InvalidPermutation("every multiplicity must be at least 1")
-        if len(self.letters) != sum(self.multiplicity):
-            raise InvalidPermutation("length must equal the sum of multiplicities")
-        counts = [0] * (n + 1)
-        for v in self.letters:
-            if not 1 <= v <= n:
-                raise InvalidPermutation(f"letter {v} outside alphabet [1..{n}]")
-            counts[v] += 1
-        for i in range(1, n + 1):
-            if counts[i] != self.multiplicity[i - 1]:
-                raise InvalidPermutation(
-                    f"letter {i} occurs {counts[i]} times, expected {self.multiplicity[i - 1]}"
-                )
-
-    @classmethod
-    def from_letters(cls, letters: Iterable[int]) -> "MultisetPermutation":
-        """Infer alphabet size and multiplicities from the letters themselves.
-
-        Every value 1..max(letters) must actually occur.
-        """
-        seq = tuple(letters)
-        if not seq:
-            return cls((), 0, ())
-        n = max(seq)
-        counts = [0] * (n + 1)
-        for v in seq:
-            if v < 1:
-                raise InvalidPermutation("letters must be positive integers")
-            counts[v] += 1
-        if any(counts[i] == 0 for i in range(1, n + 1)):
-            missing = [i for i in range(1, n + 1) if counts[i] == 0]
-            raise InvalidPermutation(f"letters {missing} missing from alphabet [1..{n}]")
-        return cls(seq, n, tuple(counts[1:]))
+        # min, max and one set: time and memory linear in the letters
+        letters = self.letters
+        if letters and min(letters) < 1:
+            raise InvalidPermutation("letters must be positive integers")
+        present = set(letters)
+        n = max(letters, default=0)
+        if len(present) != n:
+            gaps = (i for i in range(1, n + 1) if i not in present)
+            missing = [str(i) for i in itertools.islice(gaps, 11)]
+            if len(missing) > 10:
+                missing[10] = "..."
+            raise InvalidPermutation(
+                f"letters [{', '.join(missing)}] missing from alphabet [1..{n}]")
 
     @classmethod
     def regular(cls, letters: Iterable[int], n: int, m: int) -> "MultisetPermutation":
-        return cls(tuple(letters), n, (m,) * n)
+        """The letters as a permutation of [n]_m; InvalidPermutation unless
+        each of 1..n occurs exactly m times."""
+        sigma = cls(tuple(letters))
+        if sigma.multiplicity != (m,) * n:
+            raise InvalidPermutation(f"{sigma} is not a permutation of [{n}]_{m}")
+        return sigma
 
     @classmethod
     def parse(cls, text: str) -> "MultisetPermutation":
-        return cls.from_letters(_parse_letters(text))
+        return cls(_parse_letters(text, InvalidPermutation))
 
     @property
-    def length(self) -> int:
-        return len(self.letters)
+    def alphabet_size(self) -> int:
+        return max(self.letters, default=0)
+
+    @property
+    def multiplicity(self) -> tuple[int, ...]:
+        counts = [0] * (self.alphabet_size + 1)
+        for v in self.letters:
+            counts[v] += 1
+        return tuple(counts[1:])
 
     @property
     def regular_m(self) -> int | None:
@@ -120,10 +102,10 @@ class MultisetPermutation:
 
         The empty permutation counts as regular (m defaults to 1).
         """
-        if self.alphabet_size == 0:
-            return 1
-        first = self.multiplicity[0]
-        return first if all(m == first for m in self.multiplicity) else None
+        mu = self.multiplicity
+        if len(set(mu)) > 1:
+            return None
+        return mu[0] if mu else 1
 
     def __str__(self) -> str:
         return format_letters(self.letters)
@@ -145,8 +127,7 @@ class Pattern:
         if not self.letters:
             raise InvalidPattern("patterns must be nonempty")
         values = set(self.letters)
-        k = max(values)
-        if values != set(range(1, k + 1)):
+        if min(values) < 1 or len(values) != max(values):
             raise InvalidPattern(
                 f"{format_letters(self.letters)} is not reduced; use normalize_pattern"
             )
@@ -165,7 +146,7 @@ class Pattern:
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
-        return normalize_pattern(_parse_letters(text))
+        return normalize_pattern(_parse_letters(text, InvalidPattern))
 
     def __str__(self) -> str:
         return format_letters(self.letters)
@@ -208,8 +189,7 @@ class PatternSet:
     patterns: tuple[Pattern, ...]
 
     def __post_init__(self) -> None:
-        seen = sorted({p.letters for p in self.patterns})
-        object.__setattr__(self, "patterns", tuple(Pattern(ls) for ls in seen))
+        object.__setattr__(self, "patterns", tuple(sorted(set(self.patterns))))
 
     @classmethod
     def of(cls, *specs: Pattern | str | Sequence[int]) -> "PatternSet":
@@ -344,7 +324,7 @@ def symmetry(sigma: MultisetPermutation, which: str) -> MultisetPermutation:
     regular, so it is refused otherwise.
     """
     if which == "reverse":
-        return MultisetPermutation(sigma.letters[::-1], sigma.alphabet_size, sigma.multiplicity)
+        return MultisetPermutation(sigma.letters[::-1])
     if which in ("complement", "reverse_complement"):
         if sigma.regular_m is None:
             raise UnsupportedSymmetry("complement needs a regular multiset")
@@ -352,7 +332,7 @@ def symmetry(sigma: MultisetPermutation, which: str) -> MultisetPermutation:
         letters = tuple(n - v + 1 for v in sigma.letters)
         if which == "reverse_complement":
             letters = letters[::-1]
-        return MultisetPermutation(letters, n, sigma.multiplicity)
+        return MultisetPermutation(letters)
     raise ValueError(f"unknown symmetry {which!r}")
 
 

@@ -183,7 +183,7 @@ def _list(n: int, mu: tuple[int, ...], patterns: PatternSet
     _check_budget(total, LIST_LENGTH_BUDGET)
     out: list[MultisetPermutation] = []
     walk(n, (0,) + mu, total, patterns,
-         lambda prefix: out.append(MultisetPermutation(tuple(prefix), n, mu)))
+         lambda prefix: out.append(MultisetPermutation(tuple(prefix))))
     return out
 
 

@@ -90,7 +90,7 @@ def _family(pair) -> Pair:
     raise Unsupported(f"no two-term recurrence is catalogued for {rep[0]},{rep[1]}")
 
 
-def _recurrence_terms(pair, n: int, m: int) -> Iterator[BigCount]:
+def recurrence_terms(pair, n: int, m: int) -> Iterator[BigCount]:
     """s_1, ..., s_n of s_k = coeff * s_{k-1} + s_{k-2}, from s_1 = 1 and
     s_2 = m + 1, in one pass; nothing when n = 0.
 
@@ -110,7 +110,7 @@ def recurrence_count(pair, n: int, m: int) -> BigCount:
     """s_n of the family's recurrence: the last of its terms s_1..s_n."""
     if n < 1:
         raise OutOfDomain("recurrences are stated for n >= 1, m >= 2")
-    for value in _recurrence_terms(pair, n, m):
+    for value in recurrence_terms(pair, n, m):
         pass
     return value
 

@@ -41,6 +41,7 @@ from .formulas import (
     generalized_catalan,
     proved_count,
     recurrence_count,
+    recurrence_terms,
     rothe,
     stirling_count,
 )
@@ -112,6 +113,9 @@ _TALL_N = 60
 _TALL_M = 5
 #: Largest m of the lattice paths.
 _PATH_M = 3
+#: The m and height of the dead-label tree's shape check.
+_DEAD_M = 4
+_DEAD_HEIGHT = 8
 
 
 def _grid(n_max: int, m_max: int, budget: int = _GRID_BUDGET):
@@ -191,15 +195,15 @@ def _label_failures(name: str, tops: dict[int, int]) -> Iterator[str]:
             yield f"labels {profile} != oracle {dict(oracle)} at n={n}, m={m}"
 
 
-def _dead_label_failures(m: int = 4, height: int = 8) -> Iterator[str]:
-    rule = builtin_rule("211-213", m)
-    for h, profile in enumerate(levels(rule, height)):
+def _dead_label_failures() -> Iterator[str]:
+    rule = builtin_rule("211-213", _DEAD_M)
+    for h, profile in enumerate(levels(rule, _DEAD_HEIGHT)):
         for label in profile:
             if label not in (1, 2, DEAD):
                 yield f"unexpected label {label} at height {h}"
     kids = rule.children(2)
     if not (kids.count(2) == 2 and kids.count(1) == 1
-            and kids.count(DEAD) == m - 2 and len(kids) == m + 1
+            and kids.count(DEAD) == _DEAD_M - 2 and len(kids) == _DEAD_M + 1
             and rule.children(1) == (2,) and rule.children(DEAD) == ()):
         yield f"children(2) = {kids}"
 
@@ -245,8 +249,8 @@ def verify_gentree(n_max: int = 6, m_max: int = 3) -> list[CheckResult]:
         (f"explicit != recurrence at pair=({rep[0]},{rep[1]}), n={n}, m={m}"
          for rep in RECURRENCE_FAMILIES
          for m in range(2, 7)
-         for n in range(1, 201)
-         if explicit_count(rep, n, m) != recurrence_count(rep, n, m)),
+         for n, recurred in enumerate(recurrence_terms(rep, 200, m), 1)
+         if explicit_count(rep, n, m) != recurred),
         "n <= 200, m <= 6"))
     # structural shape of the dead-label tree
     results.append(_check("gentree", "dead-label-shape", _dead_label_failures()))

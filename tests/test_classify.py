@@ -2,7 +2,6 @@ import pytest
 
 from msetperm.classify import (
     canonical_pair,
-    class_table,
     classify_all_length3,
     count_vector,
     empirical_wilf_classes,
@@ -95,16 +94,6 @@ class TestClassification:
         cls = symmetry_closure(("212", "213"))
         assert _pairs(cls) == {("121", "132"), ("121", "231"),
                                ("212", "213"), ("212", "312")}
-
-    def test_class_table_export(self):
-        rows = class_table()
-        assert len(rows) == 21
-        assert all(set(r) == {"representative", "members", "orbit_size", "formula"}
-                   for r in rows)
-        # every class except the three formula-less ones points at the catalog
-        linked = [r for r in rows if r["formula"] is not None]
-        assert len(linked) == 21  # recursion-only rows are catalogued too
-        assert sum(1 for r in linked if r["formula"]["servable"]) == 18
 
 
 def pair_in(cls, pair):

@@ -289,6 +289,19 @@ class TestBijectionCommand:
         assert code == 2
         assert "contains 122 at positions" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("bijection", "--kind", "simion", "--direction", "fwd", "--input", "1 a"),
+        ("count", "--pair", "1 2 x,123", "--n", "2", "--m", "2", "--method",
+         "oracle", "--no-cache"),
+        ("growth", "--pattern", "1 b", "--m", "2"),
+        ("bijection", "--kind", "labels", "--direction", "inv", "--input", "1,x",
+         "--m", "2"),
+    ])
+    def test_malformed_letters_are_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
     def test_path_forward(self, capsys):
         code, out, _ = run_cli(capsys, "bijection", "--kind", "path",
                                "--direction", "fwd",
@@ -301,6 +314,19 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "classify")
         assert code == 0
         assert "66 pairs in 21 classes" in out
+
+    def test_classify_records(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--records")
+        assert code == 0
+        *lines, summary = out.splitlines()
+        assert summary == "66 pairs in 21 classes"
+        rows = [json.loads(line) for line in lines]
+        assert len(rows) == 21
+        assert all(set(r) == {"representative", "orbit_size", "formula", "members"}
+                   for r in rows)
+        # every class, the recursion-only ones included, points at the catalog
+        assert all(r["formula"] != "-" for r in rows)
+        assert sum(r["orbit_size"] for r in rows) == 66
 
     def test_table_values(self, capsys):
         import csv as csvmod

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from msetperm.core import (
     normalize_pattern,
     symmetry,
 )
-from msetperm.enumeration import list_avoiders
+from msetperm.enumeration import generate_all, list_avoiders
 from msetperm.errors import (
     InvalidPattern,
     InvalidPermutation,
@@ -128,7 +129,7 @@ class TestScan:
         assert (first is not None) == naive_contains(word, pattern.letters)
         hosts = [tuple(word)]
         if set(word) == set(range(1, max(word, default=0) + 1)):
-            hosts.append(MultisetPermutation.from_letters(word))
+            hosts.append(MultisetPermutation(tuple(word)))
         for host in hosts:
             assert find_occurrence(host, pattern) == first
 
@@ -174,7 +175,7 @@ class TestSymmetry:
         assert symmetry(P("1122"), "complement").letters == (2, 2, 1, 1)
 
     def test_complement_refused_on_irregular(self):
-        sigma = MultisetPermutation.from_letters((1, 1, 2))
+        sigma = MultisetPermutation((1, 1, 2))
         with pytest.raises(UnsupportedSymmetry):
             symmetry(sigma, "complement")
 
@@ -192,8 +193,7 @@ class TestSymmetry:
         from reference import all_regular_perms
         patterns = [Pattern.parse(t) for t in ("123", "132", "112", "212")]
         for letters in all_regular_perms(2, 2) + all_regular_perms(3, 2)[:40]:
-            sigma = MultisetPermutation.from_letters(letters) if letters else \
-                MultisetPermutation((), 0, ())
+            sigma = MultisetPermutation(tuple(letters))
             for p in patterns:
                 hit = contains(sigma, p)
                 assert contains(symmetry(sigma, "reverse"), p.reverse()) == hit
@@ -216,10 +216,10 @@ class TestStatistics:
 
     def test_sentinels(self):
         sigma = P("332211")  # weakly decreasing: no ascent
-        assert first_ascent(sigma.letters) == sigma.length + 1
+        assert first_ascent(sigma.letters) == len(sigma) + 1
         assert first_descent(sigma.letters) == 3
         rising = P("112233")
-        assert first_descent(rising.letters) == rising.length + 1
+        assert first_descent(rising.letters) == len(rising) + 1
         assert first_repetition((1, 2, 3)) == 4
 
     def test_sentinel_iff_monotone(self):
@@ -251,13 +251,63 @@ class TestMinima:
 
 
 class TestTypesAndParsing:
-    def test_from_letters_checks_gaps(self):
-        with pytest.raises(InvalidPermutation):
-            MultisetPermutation.from_letters((1, 3, 3))
+    def test_letters_are_checked_on_construction(self):
+        with pytest.raises(InvalidPermutation) as exc:
+            MultisetPermutation((1, 3, 3))
+        assert str(exc.value) == "letters [2] missing from alphabet [1..3]"
+        with pytest.raises(InvalidPermutation) as exc:
+            MultisetPermutation((0, 1))
+        assert str(exc.value) == "letters must be positive integers"
+        with pytest.raises(InvalidPermutation) as exc:
+            MultisetPermutation((1, 3, 5))
+        assert str(exc.value) == "letters [2, 4] missing from alphabet [1..5]"
+        with pytest.raises(InvalidPermutation) as exc:
+            MultisetPermutation((1, 99999))
+        assert str(exc.value) == ("letters [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...] "
+                                  "missing from alphabet [1..99999]")
 
-    def test_multiplicity_mismatch(self):
+    def test_alphabet_and_multiplicity_are_read_off_the_letters(self):
+        sigma = MultisetPermutation((2, 1, 2, 1))
+        assert sigma.alphabet_size == 2
+        assert sigma.multiplicity == (2, 2)
+        assert sigma.regular_m == 2
+        for same in (P("2121"), MultisetPermutation.regular((2, 1, 2, 1), 2, 2)):
+            assert same == sigma and hash(same) == hash(sigma)
+        assert MultisetPermutation((1, 1, 2)).regular_m is None
+        empty = MultisetPermutation(())
+        assert (empty.alphabet_size, empty.multiplicity, empty.regular_m) == (0, (), 1)
+
+    def test_regular_refuses_another_multiset(self):
+        for letters, n, m in (((1, 1, 2), 2, 1), ((1, 1, 2, 2), 3, 2), ((1, 1), 1, 3)):
+            with pytest.raises(InvalidPermutation):
+                MultisetPermutation.regular(letters, n, m)
+
+    def test_generated_permutations_carry_their_multiset(self):
+        sigmas = list(generate_all(3, (2, 1, 2)))
+        assert len(sigmas) == 30
+        assert all(sigma.multiplicity == (2, 1, 2) for sigma in sigmas)
+
+    def test_huge_letters_cost_memory_linear_in_the_input(self):
+        # the checks read min, max and the set of letters, never range(max)
+        for build, error in ((MultisetPermutation, InvalidPermutation),
+                             (Pattern, InvalidPattern)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(error):
+                    build((1, 10 ** 6))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, (build.__name__, peak)
+
+    def test_unparsable_input_raises_the_readers_error(self):
+        for text in ("102", "1 x"):
+            with pytest.raises(InvalidPattern):
+                Pattern.parse(text)
         with pytest.raises(InvalidPermutation):
-            MultisetPermutation((1, 1, 2), 2, (1, 2))
+            MultisetPermutation.parse("1 x")
+        with pytest.raises(InvalidPermutation):
+            MultisetPermutation.parse("11a")
 
     def test_wide_alphabet_round_trip(self):
         text = "10 9 8 7 6 5 4 3 2 1 10 9 8 7 6 5 4 3 2 1"
@@ -271,6 +321,12 @@ class TestTypesAndParsing:
     def test_pattern_set_dedup_and_order(self):
         ps = PatternSet.of("212", "112", "212")
         assert [str(p) for p in ps] == ["112", "212"]
+
+    def test_pattern_set_keeps_the_patterns_it_is_given(self):
+        a, b = Pattern.parse("213"), Pattern.parse("122")
+        ps = PatternSet((a, b, Pattern.parse("213")))
+        assert len(ps) == 2
+        assert ps.patterns[0] is b and ps.patterns[1] is a
 
     def test_pattern_rejects_non_reduced(self):
         with pytest.raises(InvalidPattern):

@@ -71,11 +71,11 @@ def _refill_increasing(sigma):
     """simion_schmidt_f refilling the free slots in increasing order: the
     result contains 123 (43421231 -> 43221341), so the map's own codomain
     check raises NotInDomain."""
-    _, free = bijections._minima_split(sigma)
+    free = bijections._free_slots(sigma)
     letters = list(sigma.letters)
     for slot, value in zip(free, sorted(letters[i - 1] for i in free)):
         letters[slot - 1] = value
-    tau = MultisetPermutation(tuple(letters), sigma.alphabet_size, sigma.multiplicity)
+    tau = MultisetPermutation(tuple(letters))
     bijections._require_avoids(tau, bijections.PAIR_122_123)
     return tau
 
