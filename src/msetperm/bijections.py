@@ -20,6 +20,7 @@ from .core import (
     first_ascent,
     find_occurrence,
     left_to_right_minima,
+    normalize_pattern,
 )
 from .errors import (
     InvalidDyck,
@@ -34,11 +35,13 @@ PAIR_122_132 = PatternSet.of("122", "132")
 
 
 def _require_avoids(sigma: MultisetPermutation, patterns: PatternSet) -> None:
-    for p in patterns:
-        occ = find_occurrence(sigma, p)
-        if occ is not None:
-            raise NotInDomain(
-                f"{sigma} contains {p} at positions {','.join(map(str, occ))}")
+    occ = find_occurrence(sigma, patterns)
+    if occ is not None:
+        # the occurrence is of the first pattern in set order that occurs,
+        # and its letters reduce to that pattern
+        p = normalize_pattern([sigma.letters[i - 1] for i in occ])
+        raise NotInDomain(
+            f"{sigma} contains {p} at positions {','.join(map(str, occ))}")
 
 
 # -- Dyck words ----------------------------------------------------------------
@@ -274,28 +277,24 @@ def labels_to_path(seq: LabelSequence) -> LatticePath:
 
 def enumerate_paths(n: int, m: int) -> Iterator[LatticePath]:
     """All paths from (0,0) to (1 + m*n, n) off the boundary line until the
-    end, by direct search."""
+    end, by depth-first search on an explicit stack, up-steps first."""
     width = 1 + m * n
-    steps: list[str] = []
 
     def ok(x: int, y: int) -> bool:
         final = (x == width and y == n)
         return final or x != m * y + 1
 
-    def rec(x: int, y: int) -> Iterator[LatticePath]:
+    stack = [(0, 0, "")]
+    while stack:
+        x, y, steps = stack.pop()
         if x == width and y == n:
-            yield LatticePath("".join(steps), m)
-            return
-        if y < n and ok(x, y + 1):
-            steps.append("U")
-            yield from rec(x, y + 1)
-            steps.pop()
+            yield LatticePath(steps, m)
+            continue
+        # the right-step goes on first, so the up-step's paths come out first
         if x < width and ok(x + 1, y):
-            steps.append("R")
-            yield from rec(x + 1, y)
-            steps.pop()
-
-    yield from rec(0, 0)
+            stack.append((x + 1, y, steps + "R"))
+        if y < n and ok(x, y + 1):
+            stack.append((x, y + 1, steps + "U"))
 
 
 # -- the minima-fixing map -------------------------------------------------------

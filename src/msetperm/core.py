@@ -7,7 +7,10 @@ subsequence where equal pattern letters must map to equal letters of the
 host permutation.
 
 Patterns of length 2 and 3 are decided by one scan with the walk's O(1) mask
-terms (_BLOCKS); letters below 1, other patterns and hits take backtracking.
+terms (_BLOCKS), and a whole set of them by one scan that ORs in every
+pattern's term; a raw sequence is first mapped to its letters' ranks, so the
+masks are as wide as the alphabet, whatever the letters.  Other patterns and
+hits take backtracking.
 
 Positions are 1-based throughout, matching the usual combinatorial
 conventions for positional statistics.
@@ -50,7 +53,7 @@ def format_letters(letters: Sequence[int]) -> str:
     return " ".join(str(v) for v in letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultisetPermutation:
     """A permutation of {1^mu(1), ..., n^mu(n)}, stored as its letter sequence:
     n and mu are read off the letters, so every value 1..max must occur."""
@@ -58,8 +61,10 @@ class MultisetPermutation:
     letters: Letters
 
     def __post_init__(self) -> None:
+        # a tuple, so that equal letters give equal, hashable values
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
         # min, max and one set: time and memory linear in the letters
-        letters = self.letters
         if letters and min(letters) < 1:
             raise InvalidPermutation("letters must be positive integers")
         present = set(letters)
@@ -234,7 +239,10 @@ def as_pattern_set(patterns: PatternSet | Iterable) -> PatternSet:
 # added for one canonical pattern of length 2 or 3.  -(bit << 1) holds every
 # letter above the appended one, and bit - 1 every letter below.
 
-_BLOCKS: dict[tuple[int, ...], Callable[[int, int, int, int], int]] = {
+#: A _BLOCKS term: (bit, lower, upper, again) -> the letters it blocks.
+Term = Callable[[int, int, int, int], int]
+
+_BLOCKS: dict[tuple[int, ...], Term] = {
     (1, 2, 3): lambda bit, lower, upper, again: -(bit << 1) if lower else 0,
     (2, 1, 3): lambda bit, lower, upper, again: -((upper & -upper) << 1),
     (2, 3, 1): lambda bit, lower, upper, again:
@@ -283,28 +291,64 @@ def _occurrence_general(letters: Letters, pat: Letters) -> tuple[int, ...] | Non
     return extend([], 0)
 
 
-def find_occurrence(sigma: MultisetPermutation | Sequence[int], pi: Pattern
-                    ) -> tuple[int, ...] | None:
+def _ranks(letters: Sequence[int]) -> Letters:
+    """Each letter replaced by its rank among the distinct letters (1-based):
+    order and equalities, all that containment reads, are kept."""
+    rank = {v: i for i, v in enumerate(sorted(set(letters)), start=1)}
+    return tuple(rank[v] for v in letters)
+
+
+def _no_term(bit: int, lower: int, upper: int, again: int) -> int:
+    return 0
+
+
+def _completes(letters: Letters, first: Term = _no_term, second: Term = _no_term,
+               *rest: Term) -> bool:
+    """True iff some letter arrives blocked, i.e. the letters (all >= 1)
+    contain a pattern whose _BLOCKS term is among the terms given.  Each
+    letter's lower, upper and again are computed once for all the terms; the
+    first two are called inline, since most sets are pairs."""
+    present = blocked = 0
+    for v in letters:
+        bit = 1 << v
+        if blocked & bit:
+            return True
+        lower, upper, again = present & (bit - 1), present & -(bit << 1), present & bit
+        blocked |= first(bit, lower, upper, again) | second(bit, lower, upper, again)
+        if rest:
+            for block in rest:
+                blocked |= block(bit, lower, upper, again)
+        present |= bit
+    return False
+
+
+def find_occurrence(sigma: MultisetPermutation | Sequence[int],
+                    pi: Pattern | PatternSet) -> tuple[int, ...] | None:
     """1-based positions of the lexicographically first occurrence of pi in
-    sigma, or None.  A pattern with a _BLOCKS entry is decided by the mask
-    scan, which stops at the first blocked letter; only a hit, the other
-    patterns and raw letters below 1 take the backtracking search."""
-    letters = sigma.letters if isinstance(sigma, MultisetPermutation) else tuple(sigma)
-    if len(pi.letters) > len(letters):
+    sigma, or None.  For a PatternSet, the first pattern in set order that
+    occurs gives the occurrence.
+
+    When every pattern has a _BLOCKS entry, one mask scan over the letters
+    decides the whole set, and an avoider costs nothing more.  Otherwise, or
+    on a hit, each pattern in turn takes its own scan (if it has an entry)
+    and then the backtracking search, which locates the occurrence.  The
+    masks are as wide as the largest letter, so a raw sequence is scanned
+    by its letters' ranks."""
+    patterns = pi.patterns if isinstance(pi, PatternSet) else (pi,)
+    blocks = [_BLOCKS.get(p.letters) for p in patterns]
+    if isinstance(sigma, MultisetPermutation):
+        letters = sigma.letters
+    else:
+        letters = _ranks(sigma) if any(blocks) else tuple(sigma)
+    if blocks and None not in blocks and not _completes(letters, *blocks):
         return None
-    block = _BLOCKS.get(pi.letters)
-    if block is not None and (isinstance(sigma, MultisetPermutation) or min(letters) >= 1):
-        present = blocked = 0
-        for v in letters:
-            bit = 1 << v
-            if blocked & bit:
-                break
-            blocked |= block(bit, present & (bit - 1), present & -(bit << 1), present & bit)
-            present |= bit
-        else:
-            return None
-    hit = _occurrence_general(letters, pi.letters)
-    return None if hit is None else tuple(i + 1 for i in hit)
+    for p, block in zip(patterns, blocks):
+        if block is not None and len(blocks) > 1 and not _completes(letters, block):
+            continue
+        hit = _occurrence_general(letters, p.letters)
+        if hit is not None:
+            return tuple(i + 1 for i in hit)
+    return None
 
 
 def contains(sigma: MultisetPermutation | Sequence[int], pi: Pattern) -> bool:
@@ -314,7 +358,7 @@ def contains(sigma: MultisetPermutation | Sequence[int], pi: Pattern) -> bool:
 
 
 def avoids_all(sigma: MultisetPermutation | Sequence[int], pi_set: PatternSet) -> bool:
-    return all(not contains(sigma, p) for p in pi_set)
+    return find_occurrence(sigma, pi_set) is None
 
 
 def symmetry(sigma: MultisetPermutation, which: str) -> MultisetPermutation:

@@ -14,16 +14,18 @@ by an O(1) term at each appended letter (core's _BLOCKS, which containment
 reads too); the pattern 1 and anything of length 4 or more fall back to a
 direct containment check.
 
-A walk with no visit callback whose patterns all have an O(1) term takes
-one of its two memo branches, and computes each value below a prefix once
-per call, keyed only on the state that value depends on.  Counting
-permutations (count_avoiders): the number of completions below a live
-prefix depends only on what each letter has left.  Counting words
+A walk whose patterns all have an O(1) term takes one of its two memo
+branches, and computes each value below a prefix once per call, keyed only
+on the state that value depends on.  Counting and listing permutations
+(count_avoiders, list_avoiders): the completions below a live prefix depend
+only on what each letter has left.  Counting reads the stored number;
+listing reads it only to skip a state with no completion, and descends into
+every other state to visit its completions in order.  Counting words
 (word_counts_by_length): the number of clean extensions of each length
 below a prefix depends only on the levels left, the blocked letters and,
 when some pattern has length 3, the letters seen; patterns of length 2 read
-only the appended letter.  Listing, generation, the pattern 1 and patterns
-of length 4 or more keep the plain walk.
+only the appended letter.  Generation (no patterns, so no dead state), the
+pattern 1 and patterns of length 4 or more keep the plain walk.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -78,22 +80,26 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     node adds its children's vectors with + as a count node adds their
     counts.  No entry exceeds n**depth, so no entry spills into the next.
 
-    The memo branches.  When there is no visit and every pattern has a
-    _BLOCKS entry, every term reads only the appended letter, present and
-    again, and a node's value depends on less than its whole prefix.  The
-    walk memoizes it for the length of one call, keyed on that state:
+    The memo branches.  When every pattern has a _BLOCKS entry, every term
+    reads only the appended letter, present and again, and a node's value
+    depends on less than its whole prefix.  The walk memoizes it for the
+    length of one call, keyed on that state:
     - the count, when the capacities add up to depth.  A live prefix's
       blocked mask meets no letter with copies left, and with the
       capacities fixed for the call, the remaining counts say what present
-      and again will read.  The key is the tuple of remaining counts.
-    - words, when no letter can run out before depth (word counting gives
-      each letter more copies than the depth).  The key is the levels left,
-      blocked on the letters, and present if some pattern has length 3:
-      the terms of 12, 21 and 11 read only the appended letter.  Lower and
-      upper are parts of present.  Again (112, 221, 111) holds at a
-      letter's second copy; its term is then in blocked for good, so a
-      third copy would add nothing, and present is all the key needs of
-      the copies placed.
+      and again will read.  The key is the tuple of remaining counts.  So
+      the completions themselves depend only on that key, and with a visit
+      the walk uses the memo only to skip a state whose stored count is 0:
+      any other state is descended into, so that visit sees its completions.
+      With no pattern (generation) no state is dead, and there is no memo.
+    - words, with no visit, when no letter can run out before depth (word
+      counting gives each letter more copies than the depth).  The key is
+      the levels left, blocked on the letters, and present if some pattern
+      has length 3: the terms of 12, 21 and 11 read only the appended
+      letter.  Lower and upper are parts of present.  Again (112, 221,
+      111) holds at a letter's second copy; its term is then in blocked for
+      good, so a third copy would add nothing, and present is all the key
+      needs of the copies placed.
     Neither key canonicalizes under symmetry.
 
     visit(prefix) sees each full-length prefix in lexicographic order (copy
@@ -104,8 +110,10 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     slow = [p for p in patterns if p.letters not in _BLOCKS]
     dead_if_blocked = sum(capacity) == depth
     width = 0 if dead_if_blocked else depth * n.bit_length() + 1
-    memo: dict[tuple, int] | None = {} if visit is None and not slow and (
-        dead_if_blocked or all(k >= depth for k in capacity[1:])) else None
+    counting = visit is None and (dead_if_blocked or all(k >= depth for k in capacity[1:]))
+    # listing reads the memo only to skip dead states; with no pattern there are none
+    listing = visit is not None and dead_if_blocked and bool(fast)
+    memo: dict[tuple, int] | None = {} if not slow and (counting or listing) else None
     reads_present = not dead_if_blocked and any(len(p.letters) == 3 for p in patterns)
     letters = sum(1 << c for c in range(1, n + 1) if capacity[c])
     counts = [1] + [0] * depth
@@ -132,7 +140,7 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
             state = tuple(remaining) if dead_if_blocked else \
                 (depth - d, blocked & letters, present if reads_present else 0)
             total = memo.get(state)
-            if total is not None:
+            if total is not None and (visit is None or not total):
                 return total
         total = 0
         while free:

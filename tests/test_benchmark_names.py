@@ -13,7 +13,7 @@ import msetperm
 from msetperm.core import Pattern
 from msetperm.formulas import REGISTRY
 from msetperm.gentree import RULE_PATTERN_PAIRS
-from msetperm.verify import CheckResult, run_suite
+from msetperm.verify import SUITES, CheckResult, run_suite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -30,14 +30,47 @@ def _traced() -> tuple[tuple[str, str], ...]:
     raise AssertionError(f"no TRACED tuple in {TRACING}")
 
 
+def _resolve(module_name: str, attr: str):
+    target = importlib.import_module(f"msetperm.{module_name}")
+    for part in attr.split("."):
+        target = getattr(target, part)
+    return target
+
+
 def test_every_traced_name_resolves():
     traced = _traced()
     assert traced
     for module_name, attr in traced:
-        target = importlib.import_module(f"msetperm.{module_name}")
-        for part in attr.split("."):
-            target = getattr(target, part)
-        assert callable(target), (module_name, attr)
+        assert callable(_resolve(module_name, attr)), (module_name, attr)
+
+
+def _workload_class_constants() -> dict[str, dict[str, ast.expr]]:
+    # read, not imported: each workload class's assignments, by class name
+    return {node.name: {target.id: stmt.value for stmt in node.body
+                        if isinstance(stmt, ast.Assign)
+                        for target in stmt.targets if isinstance(target, ast.Name)}
+            for node in ast.parse(WORKLOADS.read_text()).body
+            if isinstance(node, ast.ClassDef)}
+
+
+def test_every_root_span_that_names_a_package_function_resolves():
+    # a traced run checks that its root spans cover run_s; a root span given
+    # as a literal "module.function" must be a function the shims can wrap
+    constants = _workload_class_constants()
+    spans = {name: body["root_spans"] for name, body in constants.items()
+             if "root_spans" in body}
+    assert set(spans) == {"OracleSweep", "Evidence", "CliSession"}
+    functions = []
+    for node in spans.values():
+        try:
+            functions += ast.literal_eval(node)
+        except ValueError:
+            pass  # built in the class, as the evidence suites' spans are
+    assert functions
+    for name in functions:
+        assert callable(_resolve(*name.split(".", 1))), name
+    # the evidence spans are opened around run_suite, one per suite
+    assert set(ast.literal_eval(constants["Evidence"]["SUITES"])) <= set(SUITES)
 
 
 def _workload_exports() -> set[str]:

@@ -143,6 +143,14 @@ class TestPaths:
                     seq = path_to_labels(p)
                     assert str(labels_to_path(seq)) == str(p)
 
+    def test_paths_come_in_lexicographic_order_up_before_right(self):
+        for m in (1, 2, 3):
+            for n in range(0, 5):
+                steps = [str(p) for p in enumerate_paths(n, m)]
+                keys = [s.replace("U", "0").replace("R", "1") for s in steps]
+                assert keys == sorted(set(keys))
+        assert [str(p) for p in enumerate_paths(2, 1)] == ["UURRR", "URURR"]
+
     def test_path_to_perm_composition(self):
         # full composition: paths -> label sequences -> permutations is a
         # bijection onto the avoiders
@@ -206,6 +214,11 @@ class TestMinimaMap:
     (perm_to_labels, "112233", "112233 contains 122 at positions 1,3,4"),
     (simion_schmidt_f, "132231", "132231 contains 122 at positions 1,2,5"),
     (simion_schmidt_g, "213312", "213312 contains 122 at positions 1,3,4"),
+    # inputs that hold only the second pattern of their set
+    (perm_to_dyck, "1221", "1221 contains 122 at positions 1,2,3"),
+    (perm_to_labels, "321123", "321123 contains 123 at positions 3,5,6"),
+    (simion_schmidt_f, "2132", "2132 contains 132 at positions 2,3,4"),
+    (simion_schmidt_g, "123", "123 contains 123 at positions 1,2,3"),
 ])
 def test_domain_messages_name_the_first_occurrence(convert, text, message):
     with pytest.raises(NotInDomain) as excinfo:

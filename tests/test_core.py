@@ -164,6 +164,91 @@ class TestScan:
         assert len(calls) == 1
 
 
+def _first_hit(word, patterns):
+    """The first per-pattern occurrence, in set order."""
+    return next((hit for p in patterns if (hit := find_occurrence(word, p)) is not None),
+                None)
+
+
+class TestSetScan:
+    """find_occurrence on a PatternSet answers as the patterns one by one in
+    set order would, with one scan when every pattern has a _BLOCKS entry."""
+
+    def test_every_length3_pair_on_every_small_permutation(self):
+        # the 78 pairs of the 13 canonical length-3 patterns (111 included),
+        # on every permutation of [n]_m with n*m <= 8, m >= 2, and of [n]_1
+        # with n <= 5
+        words = [sigma for m in range(1, 9) for n in range(0, 8 // m + 1)
+                 if m > 1 or n <= 5 for sigma in generate_all(n, (m,) * n)]
+        pairs = list(itertools.combinations(SCANNED, 2))
+        assert len(pairs) == 78
+        for sigma in words:
+            single = {p: find_occurrence(sigma, p) for p in SCANNED}
+            for a, b in pairs:
+                ps = PatternSet((a, b))
+                first, second = ps.patterns
+                expected = single[first] if single[first] is not None else single[second]
+                assert find_occurrence(sigma, ps) == expected, (sigma, ps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=-2, max_value=3), max_size=8),
+           st.lists(st.sampled_from(("1", "11", "12", "21", "112", "132", "111", "1234",
+                                     "2143", "1212")), max_size=3))
+    def test_sets_mixing_lengths_one_to_four(self, word, specs):
+        # the pattern 1 and length-4 patterns have no _BLOCKS entry, so a set
+        # holding one takes the pattern-by-pattern search
+        ps = PatternSet.of(*specs)
+        hit = find_occurrence(word, ps)
+        assert hit == _first_hit(word, ps)
+        assert (hit is None) == all(not naive_contains(word, p.letters) for p in ps)
+        assert avoids_all(word, ps) == (hit is None)
+
+    def test_empty_set(self):
+        for word in ((), (1,), P("2121"), (5, -1, 3)):
+            assert find_occurrence(word, PatternSet(())) is None
+            assert avoids_all(word, PatternSet(()))
+
+    def test_a_hit_names_the_first_pattern_in_set_order(self):
+        ps = PatternSet.of("132", "122")
+        # 1322 holds 122 at 1,3,4 and 132 at 1,2,3; 122 comes first in the set
+        assert find_occurrence(P("1322"), ps) == (1, 3, 4)
+        assert find_occurrence(P("2132"), ps) == (2, 3, 4)
+
+
+class TestRawLetters:
+    """A raw sequence is scanned by its letters' ranks: any integers, and
+    memory that does not grow with the largest letter."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from((-10 ** 12, -7, -1, 0, 3, 10 ** 7, 10 ** 18)),
+                    max_size=7),
+           st.sampled_from(SCANNED + tuple(Pattern(p) for p in ((1, 2), (2, 1), (1, 1)))))
+    def test_negative_and_huge_letters_agree_with_reference(self, word, pattern):
+        k = len(pattern)
+        first = next((tuple(i + 1 for i in idx)
+                      for idx in itertools.combinations(range(len(word)), k)
+                      if naive_contains([word[i] for i in idx], pattern.letters)), None)
+        assert find_occurrence(word, pattern) == first
+
+    def test_letters_below_one_take_the_scan(self, monkeypatch):
+        calls = []
+        general = core._occurrence_general
+        monkeypatch.setattr(core, "_occurrence_general",
+                            lambda letters, pat: calls.append(pat) or general(letters, pat))
+        assert find_occurrence((0, -5, 7, -5), PatternSet.of("123", "132")) is None
+        assert calls == []
+
+    def test_huge_letters_cost_memory_linear_in_the_length(self):
+        tracemalloc.start()
+        try:
+            assert contains((1, 10 ** 7), Pattern.parse("12"))
+            assert not contains((10 ** 7, 1), Pattern.parse("12"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
+
+
 class TestSymmetry:
     def test_reverse_palindrome(self):
         assert symmetry(P("1221"), "reverse") == P("1221")
@@ -276,6 +361,13 @@ class TestTypesAndParsing:
         assert MultisetPermutation((1, 1, 2)).regular_m is None
         empty = MultisetPermutation(())
         assert (empty.alphabet_size, empty.multiplicity, empty.regular_m) == (0, (), 1)
+
+    def test_letters_are_stored_as_a_tuple(self):
+        from_list = MultisetPermutation([1, 2])
+        assert from_list.letters == (1, 2)
+        assert from_list == MultisetPermutation((1, 2))
+        assert hash(from_list) == hash(MultisetPermutation((1, 2)))
+        assert len({from_list, MultisetPermutation((1, 2))}) == 1
 
     def test_regular_refuses_another_multiset(self):
         for letters, n, m in (((1, 1, 2), 2, 1), ((1, 1, 2, 2), 3, 2), ((1, 1), 1, 3)):

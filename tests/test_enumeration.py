@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from msetperm import core
 from msetperm.core import LENGTH3_PATTERNS, PatternSet, TRIPLE_REPEAT
 from msetperm.enumeration import (
     count_avoiders,
@@ -16,6 +17,8 @@ from msetperm.errors import BudgetExceeded
 
 from reference import (
     all_multiset_perms,
+    all_regular_perms,
+    naive_contains,
     naive_avoids,
     naive_count,
     naive_list,
@@ -110,6 +113,37 @@ def test_pruned_search_matches_naive_filtering_pairs(n, m):
     for ps in _pair_patterns():
         naive = naive_count(n, m, [p.letters for p in ps])
         assert count_avoiders(n, m, ps) == naive, f"pair {ps}"
+
+
+def test_listing_matches_reference_filtering_for_every_length3_pair():
+    # the listing walk skips memoized dead states; each of the 78 pairs of
+    # the 13 canonical length-3 patterns lists what filtering every
+    # permutation of [n]_m keeps, in order, at n*m <= 8 (m = 1: n <= 5)
+    patterns = LENGTH3_PATTERNS + (TRIPLE_REPEAT,)
+    for n, m in [(n, m) for m in range(1, 9) for n in range(0, 8 // m + 1)
+                 if m > 1 or n <= 5]:
+        perms = all_regular_perms(n, m)
+        contained = {p: {s for s in perms if naive_contains(s, p.letters)}
+                     for p in patterns}
+        for a, b in itertools.combinations(patterns, 2):
+            naive = [s for s in perms if s not in contained[a] and s not in contained[b]]
+            listed = [s.letters for s in list_avoiders(n, m, PatternSet((a, b)))]
+            assert listed == naive, f"{{{a},{b}}} at n={n}, m={m}"
+
+
+def test_listing_skips_dead_states_by_the_count_memo(monkeypatch):
+    # Every _BLOCKS term evaluation is counted.  Listing {122,123} on [6]_2
+    # evaluated 25,530 terms when it re-entered every dead state; with the
+    # count memo it evaluates 13,864 and lists the same 1,428 avoiders.
+    evaluations = []
+    for key, term in list(core._BLOCKS.items()):
+        monkeypatch.setitem(core._BLOCKS, key, lambda *args, term=term:
+                            evaluations.append(1) or term(*args))
+    listed = list_avoiders(6, 2, PatternSet.of("122", "123"))
+    assert len(evaluations) == 13_864
+    letters = [s.letters for s in listed]
+    assert len(letters) == 1428 == count_avoiders(6, 2, PatternSet.of("122", "123"))
+    assert letters == sorted(set(letters))
 
 
 def test_pruned_listing_matches_naive_filtering():

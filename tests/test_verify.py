@@ -65,6 +65,19 @@ def test_bijection_suite_names():
                      "path-round-trip", "minima-map"}
 
 
+def test_bijection_suite_lists_each_cell_once(monkeypatch):
+    # the label round trip and the minima map share one listing of the
+    # (122,123)-avoiders per cell of the n*m <= 12 grid
+    list_avoiders = verify.list_avoiders
+    calls = []
+    monkeypatch.setattr(verify, "list_avoiders", lambda n, m, patterns:
+                        calls.append((n, m, str(patterns))) or list_avoiders(n, m, patterns))
+    assert all(r.ok for r in verify_bijections())
+    targets = [call for call in calls if call[2] == "{122,123}"]
+    assert len(targets) == len(set(targets)) == 22
+    assert len(calls) == len(set(calls))
+
+
 # -- a fault raised inside a check is that check's failure ---------------------
 
 def _refill_increasing(sigma):
