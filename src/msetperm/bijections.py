@@ -19,7 +19,6 @@ from .core import (
     PatternSet,
     first_ascent,
     find_occurrence,
-    left_to_right_minima,
     normalize_pattern,
 )
 from .errors import (
@@ -116,7 +115,7 @@ def dyck_to_perm(word: DyckWord) -> MultisetPermutation:
 
 def perm_to_dyck(sigma: MultisetPermutation) -> DyckWord:
     """First occurrences become X, second occurrences become Y."""
-    if sigma.alphabet_size > 0 and sigma.regular_m != 2:
+    if any(c != 2 for c in sigma.multiplicity):
         raise NotInDomain("the word correspondence needs a regular multiset with m = 2")
     _require_avoids(sigma, PAIR_112_122)
     seen: set[int] = set()
@@ -173,12 +172,13 @@ def perm_to_labels(sigma: MultisetPermutation) -> LabelSequence:
     This reads the tree branch of sigma without building the tree: the
     restriction to [k] is exactly the ancestor of sigma at height k.
     """
-    m = sigma.regular_m
-    if m is None:
+    mu = sigma.multiplicity
+    m = mu[0] if mu else 1
+    if mu.count(m) != len(mu):
         raise NotInDomain("label sequences are defined on regular multisets")
     _require_avoids(sigma, PAIR_122_123)
     labels = [first_ascent([v for v in sigma.letters if v <= k])
-              for k in range(sigma.alphabet_size + 1)]
+              for k in range(len(mu) + 1)]
     return LabelSequence(tuple(labels), m)
 
 
@@ -224,13 +224,13 @@ class LatticePath:
             raise InvalidPath(
                 f"{ups} up-steps need exactly {1 + self.m * n} right-steps")
         x = y = 0
+        last = len(self.steps) - 1
         for k, ch in enumerate(self.steps):
             if ch == "U":
                 y += 1
             else:
                 x += 1
-            final = k == len(self.steps) - 1
-            if x == self.m * y + 1 and not final:
+            if x == self.m * y + 1 and k != last:
                 raise InvalidPath(
                     f"path touches the boundary line at ({x},{y}) before the end")
 
@@ -301,8 +301,13 @@ def enumerate_paths(n: int, m: int) -> Iterator[LatticePath]:
 
 def _free_slots(sigma: MultisetPermutation) -> list[int]:
     """The positions that are not left-to-right minima, in ascending order."""
-    minima = set(left_to_right_minima(sigma))
-    return [i for i in range(1, len(sigma) + 1) if i not in minima]
+    free, low = [], None
+    for i, v in enumerate(sigma.letters, start=1):
+        if low is None or v <= low:
+            low = v
+        else:
+            free.append(i)
+    return free
 
 
 def simion_schmidt_f(sigma: MultisetPermutation) -> MultisetPermutation:

@@ -8,9 +8,11 @@ host permutation.
 
 Patterns of length 2 and 3 are decided by one scan with the walk's O(1) mask
 terms (_BLOCKS), and a whole set of them by one scan that ORs in every
-pattern's term; a raw sequence is first mapped to its letters' ranks, so the
-masks are as wide as the alphabet, whatever the letters.  Other patterns and
-hits take backtracking.
+pattern's term.  The scan runs a finite automaton per tuple of terms, built
+lazily from the terms one step at a time, shared by every scan with those
+terms and bounded to _SCAN_STEPS stored steps.  A raw sequence is first
+mapped to its letters' ranks, so the masks are as wide as the alphabet,
+whatever the letters.  Other patterns and hits take backtracking.
 
 Positions are 1-based throughout, matching the usual combinatorial
 conventions for positional statistics.
@@ -34,9 +36,12 @@ Letters = tuple[int, ...]
 
 def _parse_letters(text: str, error: type[MsetPermError]) -> Letters:
     """Parse a one-line encoding: digits for alphabets up to 9, otherwise
-    space- or comma-separated integers.  A token that is not an integer
+    space- or comma-separated integers, and () for the empty sequence, as
+    format_letters writes them.  A token that is not an integer
     raises error; the caller's type checks the values."""
     text = text.strip()
+    if text == "()":
+        return ()
     tokens = text.replace(",", " ").split() if " " in text or "," in text else text
     try:
         return tuple(int(t) for t in tokens)
@@ -80,9 +85,10 @@ class MultisetPermutation:
     @classmethod
     def regular(cls, letters: Iterable[int], n: int, m: int) -> "MultisetPermutation":
         """The letters as a permutation of [n]_m; InvalidPermutation unless
-        each of 1..n occurs exactly m times."""
+        each of 1..n occurs exactly m times, checked by one sort."""
         sigma = cls(tuple(letters))
-        if sigma.multiplicity != (m,) * n:
+        if (len(sigma.letters) != n * m
+                or sorted(sigma.letters) != [v for v in range(1, n + 1) for _ in range(m)]):
             raise InvalidPermutation(f"{sigma} is not a permutation of [{n}]_{m}")
         return sigma
 
@@ -298,27 +304,83 @@ def _ranks(letters: Sequence[int]) -> Letters:
     return tuple(rank[v] for v in letters)
 
 
-def _no_term(bit: int, lower: int, upper: int, again: int) -> int:
-    return 0
+# The scan over the two masks is a finite automaton for each tuple of terms:
+# its state is (present, blocked), a letter that arrives blocked is a hit,
+# and any other letter leads to the state with its terms ORed in.  The terms
+# read nothing but bit, lower, upper and again, which follow from present
+# and the letter, so the state decides every later step.
+
+#: The most steps a scan table stores, so it holds at most _SCAN_STEPS + 1
+#: states; steps past them are computed on every scan that takes them.
+_SCAN_STEPS = 1024
+
+#: The target of a step whose letter arrives blocked.
+_HIT = object()
 
 
-def _completes(letters: Letters, first: Term = _no_term, second: Term = _no_term,
-               *rest: Term) -> bool:
-    """True iff some letter arrives blocked, i.e. the letters (all >= 1)
-    contain a pattern whose _BLOCKS term is among the terms given.  Each
-    letter's lower, upper and again are computed once for all the terms; the
-    first two are called inline, since most sets are pairs."""
-    present = blocked = 0
-    for v in letters:
+class _State(dict):
+    """A state of a scan automaton: its masks (present, blocked), and as
+    the dict, its stored steps from the letter appended to the next state
+    or _HIT."""
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: tuple[int, int]) -> None:
+        # the dict starts empty without dict.__init__
+        self.masks = masks
+
+
+class _ScanTable:
+    """The scan automaton of one tuple of _BLOCKS terms.  A step is a pure
+    function of the state and the letter, so a stored step always equals
+    the computed one, and concurrent scans need no lock: a race can only
+    store a step twice or store a step or two past the cap."""
+
+    def __init__(self, terms: tuple[Term, ...]) -> None:
+        self.terms = terms
+        self.root = _State((0, 0))
+        self.states = {self.root.masks: self.root}
+        self.steps = 0
+
+    def step(self, state: _State, v: int) -> object:
+        """The step from state on the letter v (>= 1), stored while the
+        table has stored fewer than _SCAN_STEPS steps."""
+        present, blocked = state.masks
         bit = 1 << v
-        if blocked & bit:
+        target: object = _HIT
+        room = self.steps < _SCAN_STEPS
+        if not blocked & bit:
+            lower, upper, again = present & (bit - 1), present & -(bit << 1), present & bit
+            for term in self.terms:
+                blocked |= term(bit, lower, upper, again)
+            masks = present | bit, blocked
+            target = self.states.get(masks)
+            if target is None:
+                target = _State(masks)
+                if room:
+                    # one setdefault, so that concurrent scans store a state once
+                    target = self.states.setdefault(masks, target)
+        if room:
+            state[v] = target
+            self.steps += 1
+        return target
+
+
+_TABLES: dict[tuple[Term, ...], _ScanTable] = {}
+
+
+def _scan(letters: Letters, terms: tuple[Term, ...]) -> bool:
+    """True iff some letter arrives blocked, i.e. the letters (all >= 1)
+    contain a pattern whose _BLOCKS term is among the terms given."""
+    table = _TABLES.get(terms) or _TABLES.setdefault(terms, _ScanTable(terms))
+    state = table.root
+    for v in letters:
+        target = state.get(v)
+        if target is None:
+            target = table.step(state, v)
+        if target is _HIT:
             return True
-        lower, upper, again = present & (bit - 1), present & -(bit << 1), present & bit
-        blocked |= first(bit, lower, upper, again) | second(bit, lower, upper, again)
-        if rest:
-            for block in rest:
-                blocked |= block(bit, lower, upper, again)
-        present |= bit
+        state = target
     return False
 
 
@@ -328,22 +390,24 @@ def find_occurrence(sigma: MultisetPermutation | Sequence[int],
     sigma, or None.  For a PatternSet, the first pattern in set order that
     occurs gives the occurrence.
 
-    When every pattern has a _BLOCKS entry, one mask scan over the letters
-    decides the whole set, and an avoider costs nothing more.  Otherwise, or
-    on a hit, each pattern in turn takes its own scan (if it has an entry)
-    and then the backtracking search, which locates the occurrence.  The
-    masks are as wide as the largest letter, so a raw sequence is scanned
-    by its letters' ranks."""
+    When every pattern has a _BLOCKS entry, one run of the set's scan
+    automaton decides the whole set, and an avoider costs nothing more.
+    Otherwise, or on a hit, each pattern in turn takes its own automaton (if
+    it has an entry) and then the backtracking search, which locates the
+    occurrence.  An automaton is built lazily, a step the first time a scan
+    takes it, is shared by every scan with the same terms, and stores at
+    most _SCAN_STEPS steps.  The masks are as wide as the largest letter,
+    so a raw sequence is scanned by its letters' ranks."""
     patterns = pi.patterns if isinstance(pi, PatternSet) else (pi,)
-    blocks = [_BLOCKS.get(p.letters) for p in patterns]
+    blocks = tuple([_BLOCKS.get(p.letters) for p in patterns])
     if isinstance(sigma, MultisetPermutation):
         letters = sigma.letters
     else:
         letters = _ranks(sigma) if any(blocks) else tuple(sigma)
-    if blocks and None not in blocks and not _completes(letters, *blocks):
+    if blocks and None not in blocks and not _scan(letters, blocks):
         return None
     for p, block in zip(patterns, blocks):
-        if block is not None and len(blocks) > 1 and not _completes(letters, block):
+        if block is not None and len(blocks) > 1 and not _scan(letters, (block,)):
             continue
         hit = _occurrence_general(letters, p.letters)
         if hit is not None:

@@ -283,6 +283,14 @@ class TestBijectionCommand:
                                "--m", "3")
         assert code == 0 and out.strip() == "443322421311"
 
+    def test_the_empty_permutation_round_trips_through_text(self, capsys):
+        code, out, _ = run_cli(capsys, "bijection", "--kind", "labels",
+                               "--direction", "inv", "--input", "1", "--m", "2")
+        assert code == 0 and out.strip() == "()"
+        code, out, _ = run_cli(capsys, "bijection", "--kind", "labels",
+                               "--direction", "fwd", "--input", out.strip())
+        assert code == 0 and out.strip() == "1"
+
     def test_domain_violation_reports_occurrence(self, capsys):
         code, _, err = run_cli(capsys, "bijection", "--kind", "simion",
                                "--direction", "fwd", "--input", "1322")

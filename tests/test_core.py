@@ -1,5 +1,11 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +35,8 @@ from msetperm.errors import (
 )
 
 from reference import naive_contains
+
+SRC = str(Path(core.__file__).resolve().parents[1])
 
 
 P = MultisetPermutation.parse
@@ -249,6 +257,112 @@ class TestRawLetters:
         assert peak < 100_000, peak
 
 
+def _random_words(rng, count, max_length):
+    """Raw sequences over a few small letters, negative and huge ones too."""
+    pools = ((1, 2, 3), (1, 2, 3, 4, 5, 6), (-10 ** 12, -3, 0, 2, 10 ** 18), tuple(range(40)))
+    return [tuple(rng.choice(pool) for _ in range(rng.randint(0, max_length)))
+            for pool in (rng.choice(pools) for _ in range(count))]
+
+
+def _backtracking_first_hit(word, patterns):
+    """The first occurrence of a pattern in set order, by backtracking alone."""
+    return next((tuple(i + 1 for i in hit) for p in patterns
+                 if (hit := core._occurrence_general(tuple(word), p.letters)) is not None),
+                None)
+
+
+class TestScanAutomaton:
+    """The scan automata are built lazily and bounded: with a small cap a
+    table fills at once, later steps are computed on every scan, and every
+    answer stays the same."""
+
+    SETS = [PatternSet((p,)) for p in SCANNED] + [
+        PatternSet(pair) for pair in itertools.combinations(SCANNED, 2)][::7] + [
+        PatternSet.of("12"), PatternSet.of("21", "111"), PatternSet.of("112", "212", "321")]
+
+    def test_a_small_cap_changes_no_answer_and_bounds_every_table(self, monkeypatch):
+        monkeypatch.setattr(core, "_SCAN_STEPS", 16)
+        monkeypatch.setattr(core, "_TABLES", {})
+        rng = random.Random(24)
+        calls = []
+        general = core._occurrence_general
+        monkeypatch.setattr(core, "_occurrence_general",
+                            lambda letters, pat: calls.append(pat) or general(letters, pat))
+        for word in _random_words(rng, 3000, 14):
+            ps = rng.choice(self.SETS)
+            expected = _backtracking_first_hit(word, ps)
+            before = len(calls)
+            assert find_occurrence(word, ps) == expected, (word, ps)
+            if expected is None:
+                # an avoider is decided by the automaton alone
+                assert len(calls) == before, (word, ps)
+        assert len(core._TABLES) > len(SCANNED)
+        for table in core._TABLES.values():
+            stored = sum(len(state) for state in table.states.values())
+            assert stored <= table.steps <= 16
+            assert len(table.states) <= 17
+
+    def test_memory_stays_bounded_over_long_random_scans(self, monkeypatch):
+        monkeypatch.setattr(core, "_TABLES", {})
+        rng = random.Random(2024)
+        words = [tuple(rng.randrange(40) for _ in range(40)) for _ in range(3000)]
+        sets = [PatternSet.of("132", "213"), PatternSet.of("122", "123"),
+                PatternSet.of("112", "212", "321")]
+        tracemalloc.start()
+        try:
+            for i, word in enumerate(words):
+                find_occurrence(word, sets[i % 3])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # on CPython 3.11 a stored step and its state take about 450 bytes;
+        # without the cap these scans hold 9.8 MB, and more with every scan
+        assert all(table.steps <= core._SCAN_STEPS for table in core._TABLES.values())
+        assert held < 700 * core._SCAN_STEPS * len(core._TABLES), held
+
+    def test_threads_sharing_the_tables_get_the_same_answers(self, monkeypatch):
+        # a small cap makes the four threads fill the tables they share
+        monkeypatch.setattr(core, "_SCAN_STEPS", 8)
+        monkeypatch.setattr(core, "_TABLES", {})
+        rng = random.Random(7)
+        jobs = [(word, rng.choice(self.SETS)) for word in _random_words(rng, 1200, 10)]
+        expected = [_backtracking_first_hit(word, ps) for word, ps in jobs]
+        mismatches = []
+
+        def work(offset):
+            for i in range(offset, len(jobs), 4):
+                if find_occurrence(*jobs[i]) != expected[i]:
+                    mismatches.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_import_builds_no_table(self):
+        code = "import msetperm, msetperm.core as c; print(len(c._TABLES))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "0"
+
+    def test_each_tuple_of_terms_has_its_own_table(self):
+        # 12 blocks every letter above one seen, 21 every letter below: one
+        # table for both would answer the second from the first's steps
+        for _ in range(2):
+            assert find_occurrence((1, 2), Pattern.parse("12")) == (1, 2)
+            assert find_occurrence((1, 2), Pattern.parse("21")) is None
+            assert find_occurrence((2, 1), Pattern.parse("12")) is None
+            assert find_occurrence((2, 1), Pattern.parse("21")) == (1, 2)
+
+
 class TestSymmetry:
     def test_reverse_palindrome(self):
         assert symmetry(P("1221"), "reverse") == P("1221")
@@ -400,6 +514,13 @@ class TestTypesAndParsing:
             MultisetPermutation.parse("1 x")
         with pytest.raises(InvalidPermutation):
             MultisetPermutation.parse("11a")
+
+    def test_the_empty_permutation_reads_back_from_its_text(self):
+        empty = MultisetPermutation(())
+        assert str(empty) == "()"
+        assert MultisetPermutation.parse(" () ") == empty
+        with pytest.raises(InvalidPattern, match="patterns must be nonempty"):
+            Pattern.parse("()")
 
     def test_wide_alphabet_round_trip(self):
         text = "10 9 8 7 6 5 4 3 2 1 10 9 8 7 6 5 4 3 2 1"

@@ -320,3 +320,22 @@ def test_letters_that_can_run_out_keep_the_plain_walk():
     ps = PatternSet.of("12")
     assert walk(2, (0, 3, 3), 5, ps) == walk(2, (0, 3, 3), 5, ps, lambda prefix: True) \
         == [1, 2, 3, 4, 3, 2]
+
+
+def test_counting_never_calls_the_containment_check(monkeypatch):
+    # count_avoiders and word_counts_by_length on pairs of length-3 patterns
+    # decide every prefix with the walk's masks; find_occurrence, and so its
+    # scan automata, stay off the counting paths
+    calls = []
+    occurrence = core.find_occurrence
+    monkeypatch.setattr(core, "find_occurrence",
+                        lambda sigma, pi: calls.append(pi) or occurrence(sigma, pi))
+    pairs = list(itertools.combinations(LENGTH3_PATTERNS, 2))
+    assert len(pairs) == 66
+    for pair in pairs:
+        ps = PatternSet(pair)
+        for n, m in ((1, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
+            count_avoiders(n, m, ps)
+        word_counts_by_length(3, 5, ps)
+    assert calls == []
+    assert core.contains((1, 2), core.Pattern.parse("12")) and len(calls) == 1
