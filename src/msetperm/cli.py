@@ -39,7 +39,7 @@ from .formulas import (
 )
 from .gentree import RULE_PATTERN_PAIRS, builtin_rule, count_at_height, levels, rule_for
 from .growth import growth_table
-from .verify import CheckResult, imported_agreement_report, run_suite
+from .verify import SUITES, CheckResult, imported_agreement_report, run_suite
 
 
 def _parse_pair(text: str) -> tuple[str, str]:
@@ -68,6 +68,10 @@ def _emit(records: list[dict], columns: list[str], args) -> None:
 
 # -- count ---------------------------------------------------------------------
 
+#: The count methods, in the order --method all runs them.
+METHODS = ("oracle", "formula", "recurrence", "gentree")
+
+
 def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
                cache: CountCache | None) -> int:
     if method == "oracle":
@@ -77,10 +81,10 @@ def _count_one(pair: tuple[str, str], n: int, m: int, method: str,
     if method == "formula":
         return proved_count(pair, n, m)
     if method == "recurrence":
-        return recurrence_count(pair, n, m) if n >= 1 else 1
-    if method == "gentree":
-        return count_at_height(rule_for(pair, m), n)
-    raise Unsupported(f"unknown method {method!r}")
+        # s_0 = s_1 = 1 (the empty permutation, and 1...1), so n = 0 reads s_1
+        # and is refused for the same pairs and m as every other n
+        return recurrence_count(pair, max(n, 1), m)
+    return count_at_height(rule_for(pair, m), n)
 
 
 def cmd_count(args) -> int:
@@ -108,8 +112,7 @@ def cmd_count(args) -> int:
         return 0
     if args.n is None:
         raise Unsupported("--n is required (or use --bfile with --nmax)")
-    methods = ["oracle", "formula", "recurrence", "gentree"] \
-        if args.method == "all" else [args.method]
+    methods = METHODS if args.method == "all" else [args.method]
     records = []
     values = {}
     for method in methods:
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative, help="alphabet size")
     p.add_argument("--m", type=_positive, required=True, help="common multiplicity")
     p.add_argument("--method", default="formula",
-                   choices=["oracle", "formula", "recurrence", "gentree", "all"])
+                   choices=METHODS + ("all",))
     p.add_argument("--bfile", action="store_true",
                    help="emit 'n value' sequence lines for n = 1..nmax")
     p.add_argument("--nmax", type=_nonnegative, help="largest n for --bfile")
@@ -326,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run a cross-checking suite")
-    p.add_argument("--suite", required=True,
-                   choices=["table1", "gentree", "bijections", "growth", "classify"])
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--nmax", type=_nonnegative,
                    help="largest n of the n*m <= 12 oracle grid: every table1 "
                         "check and --report, and gentree's -vs-oracle and -labels "

@@ -448,8 +448,6 @@ def symmetry(sigma: MultisetPermutation, which: str) -> MultisetPermutation:
 
 def first_repetition(letters: Sequence[int]) -> int:
     """Least position whose letter already occurred, else length+1 (1 if empty)."""
-    if not letters:
-        return 1
     seen: set[int] = set()
     for i, v in enumerate(letters, start=1):
         if v in seen:
@@ -460,8 +458,6 @@ def first_repetition(letters: Sequence[int]) -> int:
 
 def first_ascent(letters: Sequence[int]) -> int:
     """Least i with letters[i-1] < letters[i] (strict), else length+1 (1 if empty)."""
-    if not letters:
-        return 1
     for i in range(1, len(letters)):
         if letters[i - 1] < letters[i]:
             return i + 1
@@ -470,8 +466,6 @@ def first_ascent(letters: Sequence[int]) -> int:
 
 def first_descent(letters: Sequence[int]) -> int:
     """Least i with letters[i-1] > letters[i] (strict), else length+1 (1 if empty)."""
-    if not letters:
-        return 1
     for i in range(1, len(letters)):
         if letters[i - 1] > letters[i]:
             return i + 1

@@ -21,11 +21,12 @@ on the state that value depends on.  Counting and listing permutations
 only on what each letter has left.  Counting reads the stored number;
 listing reads it only to skip a state with no completion, and descends into
 every other state to visit its completions in order.  Counting words
-(word_counts_by_length): the number of clean extensions of each length
-below a prefix depends only on the levels left, the blocked letters and,
-when some pattern has length 3, the letters seen; patterns of length 2 read
-only the appended letter.  Generation (no patterns, so no dead state), the
-pattern 1 and patterns of length 4 or more keep the plain walk.
+(word_counts_by_length) asks the root once per length, and all lengths share
+one memo: the number of clean extensions of a prefix by exactly k letters
+depends only on k, the blocked letters and, when some pattern has length 3,
+the letters seen; patterns of length 2 read only the appended letter.
+Generation (no patterns, so no dead state), the pattern 1 and patterns of
+length 4 or more keep the plain walk.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -65,20 +66,18 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     later still completes the pattern, because the prefix plus that letter
     is a subsequence of every completion.  Such a prefix is not expanded,
     and only the full length is counted: counts[d] for d < depth is 0.
-    Otherwise (word counting) every level is counted.
+    Otherwise (word counting) every length d = 1..depth is counted, each by
+    its own call at the root.
 
     Each node's children are the letters with copies left that are not in
     its blocked mask, the union of the _BLOCKS terms of its letters; a
     pattern without an entry (1, or length 4 or more) is tested directly on
     the prefix plus each candidate letter.
 
-    What a node returns.  When the capacities add up to depth, it is the
-    number of full-length completions of its prefix.  Otherwise it is the
-    vector whose entry k is the number of clean extensions of the prefix by
-    k more letters, k = 0..depth - d; the root's vector is counts.  The
-    vector is packed in one int, entry k in bits k*width and up, so that a
-    node adds its children's vectors with + as a count node adds their
-    counts.  No entry exceeds n**depth, so no entry spills into the next.
+    What a node returns.  Asked with k levels left, a node returns the
+    number of clean extensions of its prefix by exactly k more letters.  The
+    root is asked at k = depth when the capacities add up to depth, and at
+    each k = 1..depth otherwise; counts[k] is its answer.
 
     The memo branches.  When every pattern has a _BLOCKS entry, every term
     reads only the appended letter, present and again, and a node's value
@@ -94,22 +93,24 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
       With no pattern (generation) no state is dead, and there is no memo.
     - words, with no visit, when no letter can run out before depth (word
       counting gives each letter more copies than the depth).  The key is
-      the levels left, blocked on the letters, and present if some pattern
+      the levels left k, blocked on the letters, and present if some pattern
       has length 3: the terms of 12, 21 and 11 read only the appended
       letter.  Lower and upper are parts of present.  Again (112, 221,
       111) holds at a letter's second copy; its term is then in blocked for
       good, so a third copy would add nothing, and present is all the key
-      needs of the copies placed.
+      needs of the copies placed.  The key holds k but not the word length
+      being counted, so the root calls for all lengths share the memo, and
+      each state is computed once for all of them.
     Neither key canonicalizes under symmetry.
 
     visit(prefix) sees each full-length prefix in lexicographic order (copy
-    it to keep it).  Its return value is ignored: the walk always runs to
-    the end, so counts is always filled.
+    it to keep it); when every length is counted, it sees the clean prefixes
+    of each length 1..depth, shortest length first.  Its return value is
+    ignored: the walk always runs to the end, so counts is always filled.
     """
     fast = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
     slow = [p for p in patterns if p.letters not in _BLOCKS]
     dead_if_blocked = sum(capacity) == depth
-    width = 0 if dead_if_blocked else depth * n.bit_length() + 1
     counting = visit is None and (dead_if_blocked or all(k >= depth for k in capacity[1:]))
     # listing reads the memo only to skip dead states; with no pattern there are none
     listing = visit is not None and dead_if_blocked and bool(fast)
@@ -122,9 +123,10 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     # only visit and the direct containment check read the prefix
     track = visit is not None or bool(slow)
 
-    def rec(present: int, blocked: int, d: int, letters_left: int) -> int:
-        """The value of the current prefix, whose letters are the bits of
-        present and whose unplaced letters are the bits of letters_left."""
+    def rec(present: int, blocked: int, k: int, letters_left: int) -> int:
+        """How many clean extensions of the current prefix have exactly k
+        more letters; its letters are the bits of present and its unplaced
+        letters are the bits of letters_left."""
         free = letters_left & ~blocked
         if slow:
             for c in range(1, n + 1):
@@ -132,13 +134,11 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
                     free ^= 1 << c
         if dead_if_blocked and free != letters_left:
             return 0
-        last = d + 1 == depth
-        if last and visit is None:
-            total = free.bit_count()
-            return total if dead_if_blocked else 1 + (total << width)
+        if k == 1 and visit is None:
+            return free.bit_count()
         if memo is not None:
             state = tuple(remaining) if dead_if_blocked else \
-                (depth - d, blocked & letters, present if reads_present else 0)
+                (k, blocked & letters, present if reads_present else 0)
             total = memo.get(state)
             if total is not None and (visit is None or not total):
                 return total
@@ -147,7 +147,7 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
             low = free & -free
             free ^= low
             c = low.bit_length() - 1
-            if last:
+            if k == 1:
                 prefix.append(c)
                 visit(prefix)
                 prefix.pop()
@@ -161,13 +161,11 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
                 child = blocked
                 for block in fast:
                     child |= block(low, lower, upper, again)
-                total += rec(present | low, child, d + 1,
+                total += rec(present | low, child, k - 1,
                              letters_left if remaining[c] else letters_left ^ low)
                 remaining[c] += 1
                 if track:
                     prefix.pop()
-        if not dead_if_blocked:
-            total = 1 + (total << width)
         if memo is not None:
             memo[state] = total
         return total
@@ -176,12 +174,9 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
         if visit is not None:
             visit(prefix)
         return counts
-    total = rec(0, 0, 0, letters)
-    if dead_if_blocked:
-        counts[depth] = total
-    else:
-        mask = (1 << width) - 1
-        counts = [total >> k * width & mask for k in range(depth + 1)]
+    # words ask the root once per length, and every length reads the one memo
+    for k in (depth,) if dead_if_blocked else range(1, depth + 1):
+        counts[k] = rec(0, 0, k, letters)
     return counts
 
 
@@ -234,9 +229,9 @@ def word_counts_by_length(n: int, max_length: int,
     """Avoiding words over [n] of every length 0..max_length, counted in one
     walk: words are the prefixes of a search in which every letter may be
     used max_length + 1 times.  So no letter runs out and the capacities
-    never add up to the depth, not even at n = 1: walk counts every level,
-    and when every pattern has length 2 or 3 it takes its word memo branch,
-    keyed on the state that the patterns read."""
+    never add up to the depth, not even at n = 1: walk counts each length
+    from the root in turn, and when every pattern has length 2 or 3 all
+    lengths share its word memo, keyed on the state that the patterns read."""
     patterns = as_pattern_set(patterns)
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")

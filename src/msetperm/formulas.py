@@ -61,17 +61,13 @@ def rothe(a: int, b: int, n: int) -> BigCount:
 
 def stirling_count(n: int, m: int) -> BigCount:
     """Number of permutations on [n]_m with no letter repeated around a
-    smaller one (the Stirling permutations): n! * m^n * C(n-1+1/m, n)."""
+    smaller one (the Stirling permutations): n! * m^n * C(n-1+1/m, n).
+
+    Term by term, n! * m^n * C(n-1+1/m, n) = prod_{k<n} m * (n-1+1/m-k)
+    = prod_{j<n} (1 + j*m), so it is computed in integers."""
     if n < 0 or m < 1:
         raise OutOfDomain("need n >= 0 and m >= 1")
-    binom = Fraction(1)
-    top = Fraction(m * (n - 1) + 1, m)  # n - 1 + 1/m
-    for k in range(n):
-        binom *= (top - k) / (n - k)
-    value = math.factorial(n) * m ** n * binom
-    if value.denominator != 1:
-        raise ArithmeticBug("Stirling count was not an integer")
-    return int(value)
+    return math.prod(1 + j * m for j in range(n))
 
 
 # -- the two Fibonacci-like families -------------------------------------------

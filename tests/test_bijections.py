@@ -48,6 +48,8 @@ class TestDyck:
             DyckWord("YX")
         with pytest.raises(InvalidDyck):
             DyckWord("XZ")
+        with pytest.raises(InvalidDyck):
+            DyckWord("XXY")  # unequal numbers of X and Y
 
     def test_domain_checked(self):
         with pytest.raises(NotInDomain):
@@ -99,6 +101,8 @@ class TestLabels:
     def test_domain_checked(self):
         with pytest.raises(NotInDomain):
             perm_to_labels(P("1122"))  # contains both 122 and 123... 122 first
+        with pytest.raises(NotInDomain):
+            perm_to_labels(P("11223"))  # not a regular multiset
 
     def test_round_trip_exhaustive(self):
         for n, m in ((1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 2),
@@ -133,6 +137,8 @@ class TestPaths:
             LatticePath("UURR", 1)  # wrong endpoint
         with pytest.raises(InvalidPath):
             LatticePath("UXRR", 1)
+        with pytest.raises(InvalidPath):
+            LatticePath("RUR", 1)  # right length, but touches the boundary at (1,0)
 
     def test_round_trip_exhaustive(self):
         for m in (1, 2, 3):

@@ -105,6 +105,45 @@ class TestCount:
                                    "--m", "3", "--method", "formula", "--no-cache")
             assert code == 0 and out == f"{expected}\n", pair
 
+    @pytest.mark.parametrize("pair,m,code,message", [
+        ("123,321", 2, 2,
+         "unsupported: no two-term recurrence is catalogued for 123,321"),
+        ("211,213", 1, 3, "out of domain: recurrences are stated for n >= 1, m >= 2"),
+    ])
+    def test_recurrence_at_n0_refuses_what_n1_refuses(self, capsys, pair, m,
+                                                       code, message):
+        for n in ("0", "1"):
+            got, out, err = run_cli(capsys, "count", "--pair", pair, "--n", n,
+                                    "--m", str(m), "--method", "recurrence",
+                                    "--no-cache")
+            assert (got, out, err.strip()) == (code, "", message), n
+
+    def test_recurrence_at_n0_counts_the_empty_permutation(self, capsys):
+        for pair, m in (("211,213", 2), ("122,213", 3)):
+            code, out, _ = run_cli(capsys, "count", "--pair", pair, "--n", "0",
+                                   "--m", str(m), "--method", "recurrence",
+                                   "--no-cache")
+            assert code == 0 and out == "1\n", pair
+        code, out, _ = run_cli(capsys, "count", "--pair", "123,321", "--n", "0",
+                               "--m", "2", "--method", "all", "--no-cache")
+        assert code == 0
+        assert out.splitlines()[-1] == "cross-check: OK (2 methods agree)"
+
+    def test_method_all_mismatch_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "recurrence_count", lambda pair, n, m: -1)
+        code, _, err = run_cli(capsys, "count", "--pair", "211,213", "--n", "3",
+                               "--m", "2", "--method", "all", "--no-cache")
+        assert code == 5 and "cross-check: MISMATCH" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--bfile",), "--bfile needs --nmax"),
+        ((), "--n is required (or use --bfile with --nmax)"),
+    ])
+    def test_missing_size_is_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "count", "--pair", "122,123", "--m", "2",
+                                 "--no-cache", *argv)
+        assert code == 2 and out == "" and err.strip() == f"unsupported: {message}"
+
     def test_bfile_output(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--pair", "122,123",
                                "--m", "2", "--bfile", "--nmax", "5",
@@ -283,6 +322,25 @@ class TestBijectionCommand:
                                "--m", "3")
         assert code == 0 and out.strip() == "443322421311"
 
+    @pytest.mark.parametrize("kind,text,m,expected", [
+        ("dyck", "44323121", None, "XYXXYXYY"),
+        ("path", "1,4,7,7,7", "3", "UURRRURRRURRRRRRR"),
+        ("simion", "43421321", None, "43421231"),
+    ])
+    def test_inverse_directions(self, capsys, kind, text, m, expected):
+        argv = ["bijection", "--kind", kind, "--direction", "inv", "--input", text]
+        code, out, _ = run_cli(capsys, *argv, *(["--m", m] if m else []))
+        assert code == 0 and out.strip() == expected
+
+    @pytest.mark.parametrize("kind,direction,text,message", [
+        ("labels", "inv", "1,4,7", "--kind labels --direction inv needs --m"),
+        ("path", "fwd", "UUR", "--kind path needs --m"),
+    ])
+    def test_missing_m_is_refused(self, capsys, kind, direction, text, message):
+        code, out, err = run_cli(capsys, "bijection", "--kind", kind,
+                                 "--direction", direction, "--input", text)
+        assert code == 2 and out == "" and err.strip() == f"unsupported: {message}"
+
     def test_the_empty_permutation_round_trips_through_text(self, capsys):
         code, out, _ = run_cli(capsys, "bijection", "--kind", "labels",
                                "--direction", "inv", "--input", "1", "--m", "2")
@@ -322,6 +380,14 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "classify")
         assert code == 0
         assert "66 pairs in 21 classes" in out
+
+    def test_classify_empirical(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--empirical")
+        assert code == 0
+        assert "empirical grouping on the grid: 17 groups" in out
+        lines = [line.strip() for line in out.splitlines()]
+        assert "(121,123) (121,213)" in lines
+        assert "(123,132) (132,312)" in lines
 
     def test_classify_records(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--records")

@@ -286,11 +286,15 @@ word_cells = st.sampled_from([(n, length) for n in range(0, 5) for length in ran
 
 def _plain_word_counts(n, max_length, ps):
     """Word counts of every length from the plain walk: a visit callback
-    keeps it off the memo branch, and counts the full-length words itself."""
+    keeps it off the memo branch, and counts the words of each length itself,
+    shortest length first."""
     visited = []
     counts = walk(n, (0,) + (max_length + 1,) * n, max_length, ps,
-                  lambda prefix: visited.append(1) or True)
-    assert counts[max_length] == len(visited)
+                  lambda prefix: visited.append(len(prefix)) or True)
+    assert visited == sorted(visited)
+    assert counts[0] == 1
+    for length in range(1, max_length + 1):
+        assert counts[length] == visited.count(length), length
     return counts
 
 
@@ -312,6 +316,20 @@ def test_word_memo_branch_matches_plain_walk_beyond_the_reference(n, max_length)
         ps = PatternSet.of(*specs)
         assert word_counts_by_length(n, max_length, ps) == \
             _plain_word_counts(n, max_length, ps), specs
+
+
+def test_word_lengths_share_one_memo(monkeypatch):
+    # Every _BLOCKS term evaluation is counted.  Counting the {132,213}-words
+    # of lengths 0..10 over [6] asks the root once per length; all lengths
+    # read one memo, so the walk evaluates 10,024 terms, where a fresh memo
+    # per length would evaluate 33,044.
+    evaluations = []
+    for key, term in list(core._BLOCKS.items()):
+        monkeypatch.setitem(core._BLOCKS, key, lambda *args, term=term:
+                            evaluations.append(1) or term(*args))
+    counts = word_counts_by_length(6, 10, PatternSet.of("132", "213"))
+    assert len(evaluations) == 10_024
+    assert counts == [1, 6, 36, 176, 716, 2532, 8090, 24010, 67455, 181752, 474028]
 
 
 def test_letters_that_can_run_out_keep_the_plain_walk():
