@@ -11,10 +11,10 @@ of a forbidden pattern raises NotInDomain naming the positions.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
+    _Value,
     MultisetPermutation,
     PatternSet,
     first_ascent,
@@ -45,15 +45,15 @@ def _require_avoids(sigma: MultisetPermutation, patterns: PatternSet) -> None:
 
 # -- Dyck words ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DyckWord:
+class DyckWord(_Value):
     """A balanced word over {X, Y}: #X = #Y and no prefix has more Y than X."""
 
+    __slots__ = ("letters",)
     letters: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, letters: str) -> None:
         depth = 0
-        for ch in self.letters:
+        for ch in letters:
             if ch == "X":
                 depth += 1
             elif ch == "Y":
@@ -61,9 +61,18 @@ class DyckWord:
             else:
                 raise InvalidDyck(f"letter {ch!r} is neither X nor Y")
             if depth < 0:
-                raise InvalidDyck(f"prefix of {self.letters} has more Y than X")
+                raise InvalidDyck(f"prefix of {letters} has more Y than X")
         if depth != 0:
-            raise InvalidDyck(f"{self.letters} has unequal numbers of X and Y")
+            raise InvalidDyck(f"{letters} has unequal numbers of X and Y")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @property
     def half_length(self) -> int:
@@ -123,32 +132,41 @@ def perm_to_dyck(sigma: MultisetPermutation) -> DyckWord:
     for v in sigma.letters:
         chars.append("Y" if v in seen else "X")
         seen.add(v)
-    # DyckWord.__post_init__ re-checks prefix balance, which is guaranteed
+    # DyckWord.__init__ re-checks prefix balance, which is guaranteed
     # here: a Y before its X would mean a second occurrence preceding a first.
     return DyckWord("".join(chars))
 
 
 # -- label sequences and lattice paths ------------------------------------------
 
-@dataclass(frozen=True)
-class LabelSequence:
+class LabelSequence(_Value):
     """A branch of the first-ascent generating tree: (a_1, ..., a_{n+1}) with
     a_1 = 1, a_2 = m+1, and m+1 <= a_{i} <= a_{i-1} + m afterwards."""
 
+    __slots__ = ("values", "m")
     values: tuple[int, ...]
     m: int
 
-    def __post_init__(self) -> None:
-        vals = self.values
-        if self.m < 1:
+    def __init__(self, values: tuple[int, ...], m: int) -> None:
+        if m < 1:
             raise InvalidLabelSequence("need m >= 1")
-        if not vals or vals[0] != 1:
+        if not values or values[0] != 1:
             raise InvalidLabelSequence("label sequences start with 1")
-        for i in range(1, len(vals)):
-            lo, hi = self.m + 1, vals[i - 1] + self.m
-            if not lo <= vals[i] <= hi:
+        for i in range(1, len(values)):
+            lo, hi = m + 1, values[i - 1] + m
+            if not lo <= values[i] <= hi:
                 raise InvalidLabelSequence(
-                    f"label {vals[i]} at index {i + 1} outside [{lo}, {hi}]")
+                    f"label {values[i]} at index {i + 1} outside [{lo}, {hi}]")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "m", m)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.values == other.values and self.m == other.m
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.m))
 
     @property
     def n(self) -> int:
@@ -204,35 +222,45 @@ def labels_to_perm(seq: LabelSequence) -> MultisetPermutation:
     return sigma
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(_Value):
     """Up/right path from (0,0) to (1 + m*n, n) staying off the line
     x = m*y + 1 everywhere except the final point."""
 
+    __slots__ = ("steps", "m")
     steps: str
     m: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, steps: str, m: int) -> None:
+        if m < 1:
             raise InvalidPath("need m >= 1")
-        ups = self.steps.count("U")
-        rights = self.steps.count("R")
-        if ups + rights != len(self.steps):
+        ups = steps.count("U")
+        rights = steps.count("R")
+        if ups + rights != len(steps):
             raise InvalidPath("steps must be a word over {U, R}")
         n = ups
-        if rights != 1 + self.m * n:
+        if rights != 1 + m * n:
             raise InvalidPath(
-                f"{ups} up-steps need exactly {1 + self.m * n} right-steps")
+                f"{ups} up-steps need exactly {1 + m * n} right-steps")
         x = y = 0
-        last = len(self.steps) - 1
-        for k, ch in enumerate(self.steps):
+        last = len(steps) - 1
+        for k, ch in enumerate(steps):
             if ch == "U":
                 y += 1
             else:
                 x += 1
-            if x == self.m * y + 1 and k != last:
+            if x == m * y + 1 and k != last:
                 raise InvalidPath(
                     f"path touches the boundary line at ({x},{y}) before the end")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "m", m)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps and self.m == other.m
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.m))
 
     @property
     def n(self) -> int:

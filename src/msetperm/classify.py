@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
-from .core import LENGTH3_PATTERNS, Pattern, PatternSet, as_pattern
+from .core import _Value, LENGTH3_PATTERNS, Pattern, PatternSet, as_pattern
 from .enumeration import COUNT_LENGTH_BUDGET, count_avoiders
 from .errors import BudgetExceeded
 
@@ -26,14 +25,23 @@ def _as_pair(pair) -> Pair:
     return tuple(sorted(pats))
 
 
-@dataclass(frozen=True)
-class PatternPairClass:
+class PatternPairClass(_Value):
     """One orbit of an unordered pattern pair under reverse/complement."""
 
+    __slots__ = ("members",)
     members: tuple[Pair, ...]
 
-    def __post_init__(self) -> None:
-        assert 4 % len(self.members) == 0
+    def __init__(self, members: tuple[Pair, ...]) -> None:
+        assert 4 % len(members) == 0
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.members == other.members
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
 
     @property
     def representative(self) -> Pair:

@@ -21,7 +21,6 @@ conventions for positional statistics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -58,17 +57,41 @@ def format_letters(letters: Sequence[int]) -> str:
     return " ".join(str(v) for v in letters)
 
 
-@dataclass(frozen=True, slots=True)
-class MultisetPermutation:
+class _Value:
+    """Base of the package's immutable value types.  A subclass lists its
+    fields in __slots__, sets them in __init__ through object.__setattr__
+    after its checks, and defines __eq__ and __hash__ over them (hash equal
+    to that of the field tuple).  The base gives the dataclass-style repr,
+    refuses assignment and deletion with AttributeError, and pickles and
+    copies an instance by calling the class on its fields, so that the
+    checks run again."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class MultisetPermutation(_Value):
     """A permutation of {1^mu(1), ..., n^mu(n)}, stored as its letter sequence:
     n and mu are read off the letters, so every value 1..max must occur."""
 
+    __slots__ = ("letters",)
     letters: Letters
 
-    def __post_init__(self) -> None:
+    def __init__(self, letters: Iterable[int]) -> None:
         # a tuple, so that equal letters give equal, hashable values
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+        letters = tuple(letters)
         # min, max and one set: time and memory linear in the letters
         if letters and min(letters) < 1:
             raise InvalidPermutation("letters must be positive integers")
@@ -81,6 +104,15 @@ class MultisetPermutation:
                 missing[10] = "..."
             raise InvalidPermutation(
                 f"letters [{', '.join(missing)}] missing from alphabet [1..{n}]")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @classmethod
     def regular(cls, letters: Iterable[int], n: int, m: int) -> "MultisetPermutation":
@@ -128,20 +160,29 @@ class MultisetPermutation:
         return iter(self.letters)
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Value):
     """A forbidden pattern in canonical reduced form (value set {1..k})."""
 
+    __slots__ = ("letters",)
     letters: Letters
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: Letters) -> None:
+        if not letters:
             raise InvalidPattern("patterns must be nonempty")
-        values = set(self.letters)
+        values = set(letters)
         if min(values) < 1 or len(values) != max(values):
             raise InvalidPattern(
-                f"{format_letters(self.letters)} is not reduced; use normalize_pattern"
+                f"{format_letters(letters)} is not reduced; use normalize_pattern"
             )
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @property
     def is_ordinary(self) -> bool:
@@ -193,14 +234,22 @@ def as_pattern(spec: Pattern | str | Sequence[int]) -> Pattern:
     return normalize_pattern(tuple(spec))
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(_Value):
     """A deduplicated set of patterns in canonical sort order."""
 
+    __slots__ = ("patterns",)
     patterns: tuple[Pattern, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "patterns", tuple(sorted(set(self.patterns))))
+    def __init__(self, patterns: Iterable[Pattern]) -> None:
+        object.__setattr__(self, "patterns", tuple(sorted(set(patterns))))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.patterns == other.patterns
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.patterns,))
 
     @classmethod
     def of(cls, *specs: Pattern | str | Sequence[int]) -> "PatternSet":
@@ -311,11 +360,25 @@ def _ranks(letters: Sequence[int]) -> Letters:
 # and the letter, so the state decides every later step.
 
 #: The most steps a scan table stores, so it holds at most _SCAN_STEPS + 1
-#: states; steps past them are computed on every scan that takes them.
+#: states; a scan that needs a step once the table is full finishes on the
+#: bare masks.
 _SCAN_STEPS = 1024
 
 #: The target of a step whose letter arrives blocked.
 _HIT = object()
+
+
+def _advance(present: int, blocked: int, v: int,
+             terms: tuple[Term, ...]) -> tuple[int, int] | None:
+    """The masks after appending the letter v (>= 1), or None when v
+    arrives blocked."""
+    bit = 1 << v
+    if blocked & bit:
+        return None
+    lower, upper, again = present & (bit - 1), present & -(bit << 1), present & bit
+    for term in terms:
+        blocked |= term(bit, lower, upper, again)
+    return present | bit, blocked
 
 
 class _State(dict):
@@ -343,26 +406,16 @@ class _ScanTable:
         self.steps = 0
 
     def step(self, state: _State, v: int) -> object:
-        """The step from state on the letter v (>= 1), stored while the
-        table has stored fewer than _SCAN_STEPS steps."""
-        present, blocked = state.masks
-        bit = 1 << v
+        """The step from state on the letter v (>= 1), stored in the table."""
+        masks = _advance(*state.masks, v, self.terms)
         target: object = _HIT
-        room = self.steps < _SCAN_STEPS
-        if not blocked & bit:
-            lower, upper, again = present & (bit - 1), present & -(bit << 1), present & bit
-            for term in self.terms:
-                blocked |= term(bit, lower, upper, again)
-            masks = present | bit, blocked
+        if masks is not None:
             target = self.states.get(masks)
             if target is None:
-                target = _State(masks)
-                if room:
-                    # one setdefault, so that concurrent scans store a state once
-                    target = self.states.setdefault(masks, target)
-        if room:
-            state[v] = target
-            self.steps += 1
+                # one setdefault, so that concurrent scans store a state once
+                target = self.states.setdefault(masks, _State(masks))
+        state[v] = target
+        self.steps += 1
         return target
 
 
@@ -374,9 +427,18 @@ def _scan(letters: Letters, terms: tuple[Term, ...]) -> bool:
     contain a pattern whose _BLOCKS term is among the terms given."""
     table = _TABLES.get(terms) or _TABLES.setdefault(terms, _ScanTable(terms))
     state = table.root
-    for v in letters:
+    rest = iter(letters)
+    for v in rest:
         target = state.get(v)
         if target is None:
+            if table.steps >= _SCAN_STEPS:
+                # the table is full: finish on the masks, storing nothing
+                masks: tuple[int, int] | None = state.masks
+                for v in itertools.chain((v,), rest):
+                    masks = _advance(*masks, v, terms)
+                    if masks is None:
+                        return True
+                return False
             target = table.step(state, v)
         if target is _HIT:
             return True

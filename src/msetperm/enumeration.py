@@ -26,7 +26,8 @@ one memo: the number of clean extensions of a prefix by exactly k letters
 depends only on k, the blocked letters and, when some pattern has length 3,
 the letters seen; patterns of length 2 read only the appended letter.
 Generation (no patterns, so no dead state), the pattern 1 and patterns of
-length 4 or more keep the plain walk.
+length 4 or more keep the plain walk; with a pattern of length 4 or more,
+counting and listing take the smaller PLAIN_LENGTH_BUDGET.
 
 Counts are plain Python ints, hence arbitrary precision.
 """
@@ -43,9 +44,17 @@ from .errors import BudgetExceeded
 LIST_LENGTH_BUDGET = 14
 #: Largest permutation length counted with pruning.
 COUNT_LENGTH_BUDGET = 18
+#: Largest permutation length counted or listed when some pattern has length
+#: 4 or more: the walk then keeps no memo and tests that pattern at every node.
+PLAIN_LENGTH_BUDGET = 8
 
 
-def _check_budget(length: int, budget: int) -> None:
+def _check_budget(length: int, budget: int, patterns: PatternSet | None = None) -> None:
+    """BudgetExceeded when length passes budget, or passes PLAIN_LENGTH_BUDGET
+    and one of the patterns has length 4 or more."""
+    if (patterns is not None and length > PLAIN_LENGTH_BUDGET
+            and any(len(p.letters) > 3 for p in patterns)):
+        budget = PLAIN_LENGTH_BUDGET
     if length > budget:
         raise BudgetExceeded(f"length {length} exceeds the budget of {budget}")
 
@@ -183,7 +192,7 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
 def _list(n: int, mu: tuple[int, ...], patterns: PatternSet
           ) -> list[MultisetPermutation]:
     total = sum(mu)
-    _check_budget(total, LIST_LENGTH_BUDGET)
+    _check_budget(total, LIST_LENGTH_BUDGET, patterns)
     out: list[MultisetPermutation] = []
     walk(n, (0,) + mu, total, patterns,
          lambda prefix: out.append(MultisetPermutation(tuple(prefix))))
@@ -211,7 +220,7 @@ def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence) -> int:
     if len(patterns) == 0:
         # No restriction: the multinomial counts everything.
         return math.factorial(n * m) // math.factorial(m) ** n
-    _check_budget(n * m, COUNT_LENGTH_BUDGET)
+    _check_budget(n * m, COUNT_LENGTH_BUDGET, patterns)
     return walk(n, (0,) + (m,) * n, n * m, patterns)[n * m]
 
 

@@ -10,17 +10,16 @@ pair.  Entries carry a trust level:
   report-only   rows whose validity domain is unclear or that verification
                 has already caught disagreeing with the oracle
 
-All arithmetic is exact: Python ints and Fractions; the Binet forms are
-evaluated in Z[sqrt(D)] as integer pairs (x, y) standing for x + y*sqrt(D).
-Floating point never enters a count.
+All arithmetic is exact, in Python ints: a sum of fractions is taken over
+its common denominator, and the Binet forms are evaluated in Z[sqrt(D)] as
+integer pairs (x, y) standing for x + y*sqrt(D).  Floating point never
+enters a count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .classify import Pair, canonical_pair
 from .errors import ArithmeticBug, OutOfDomain, Unsupported
@@ -158,8 +157,7 @@ def explicit_count(pair, n: int, m: int) -> BigCount:
 Evaluator = Callable[[int, int], BigCount]
 
 
-@dataclass(frozen=True)
-class FormulaEntry:
+class FormulaEntry(NamedTuple):
     """One catalogued counting family, keyed by its symmetry representative.
 
     A row with an evaluator is stated for n >= n_min, m >= 2; a row without
@@ -186,13 +184,15 @@ class FormulaEntry:
 
 
 def _binomial_ratio_sum(n: int, m: int) -> BigCount:
-    total = Fraction(0)
-    for j in range(n + 1):
-        total += Fraction(math.comb(n, j) * math.comb(n + (m - 1) * j - 1, n - j),
-                          n + 1 - j)
-    if total.denominator != 1:
+    """sum over j of C(n, j) * C(n + (m-1)*j - 1, n - j) / (n + 1 - j), summed
+    in integers over the common denominator lcm(1, ..., n + 1)."""
+    lcm = math.lcm(*range(1, n + 2))
+    total = sum(math.comb(n, j) * math.comb(n + (m - 1) * j - 1, n - j)
+                * (lcm // (n + 1 - j)) for j in range(n + 1))
+    value, rem = divmod(total, lcm)
+    if rem:
         raise ArithmeticBug("series coefficient was not an integer")
-    return int(total)
+    return value
 
 
 def _pair_112_122(n: int, m: int) -> BigCount:

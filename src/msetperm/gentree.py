@@ -15,7 +15,6 @@ label rather than quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .classify import canonical_pair
@@ -29,8 +28,7 @@ Label = int | str
 Profile = dict[Label, int]
 
 
-@dataclass(frozen=True)
-class SuccessionRule:
+class SuccessionRule(NamedTuple):
     """A named label-rewriting system with an optional fast level step.
 
     `children(label)` gives a node's ordered child labels exactly as the rule

@@ -14,8 +14,7 @@ walk's word memo branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import Pattern, PatternSet, as_pattern_set
 from .enumeration import count_avoiders, word_counts_by_length
@@ -26,8 +25,7 @@ _PATTERN_212 = Pattern((2, 1, 2))
 _PATTERN_12 = Pattern((1, 2))
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     n: int
     m: int
     count: int
@@ -68,8 +66,7 @@ def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]
     return rows
 
 
-@dataclass(frozen=True)
-class StirlingVerdict:
+class StirlingVerdict(NamedTuple):
     n: int
     m: int
     enumerated: int

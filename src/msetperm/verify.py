@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections as bij
 from .classify import canonical_pair, classify_all_length3
@@ -58,8 +57,7 @@ from .gentree import (
 from .growth import check_stirling_identity, word_counts_by_length
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     ok: bool
@@ -73,8 +71,7 @@ class CheckResult:
         return f"[{status}] {self.suite}/{self.name}{kind}{detail}"
 
 
-@dataclass(frozen=True)
-class AgreementRow:
+class AgreementRow(NamedTuple):
     table_pair: tuple[str, str]
     trust: str
     n: int

@@ -96,6 +96,14 @@ class TestCount:
         assert code == 4
         assert err.strip() == "budget exceeded: length 24 exceeds the budget of 18"
 
+    def test_plain_walk_budget_exit_code(self, capsys):
+        # within the budget of 18, but 1234 and 4321 have no memo
+        code, out, err = run_cli(capsys, "count", "--pair", "1234,4321",
+                                 "--n", "9", "--m", "2", "--method", "oracle",
+                                 "--no-cache")
+        assert code == 4 and out == ""
+        assert err.strip() == "budget exceeded: length 18 exceeds the budget of 8"
+
     def test_formula_does_not_run_the_recurrence(self, capsys, monkeypatch):
         # the (211,213) and (122,213) rows serve the closed Binet forms, so
         # --method all compares four different computations

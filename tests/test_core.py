@@ -302,6 +302,28 @@ class TestScanAutomaton:
             assert stored <= table.steps <= 16
             assert len(table.states) <= 17
 
+    def test_scans_past_a_full_table_agree_with_backtracking(self, monkeypatch):
+        # with a cap of 8 every table fills within its first scans, and most
+        # of these 30 to 40 letter near-monotone words run on past it
+        monkeypatch.setattr(core, "_SCAN_STEPS", 8)
+        monkeypatch.setattr(core, "_TABLES", {})
+        rng = random.Random(26)
+        jobs = []
+        for _ in range(400):
+            word = sorted(rng.choices(range(1, 9), k=rng.randint(30, 40)),
+                          reverse=rng.random() < 0.5)
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(len(word) - 1)
+                word[i], word[i + 1] = word[i + 1], word[i]
+            jobs.append((tuple(word), rng.choice(self.SETS)))
+        expected = [_backtracking_first_hit(word, ps) for word, ps in jobs]
+        assert sum(hit is None for hit in expected) > 100
+        assert sum(hit is not None and hit[-1] > 8 for hit in expected) > 30
+        for _ in range(2):  # the first scans fill the tables, the second repeat them
+            assert [find_occurrence(word, ps) for word, ps in jobs] == expected
+            steps = [table.steps for table in core._TABLES.values()]
+            assert max(steps) == 8 and steps.count(8) >= 20
+
     def test_memory_stays_bounded_over_long_random_scans(self, monkeypatch):
         monkeypatch.setattr(core, "_TABLES", {})
         rng = random.Random(2024)

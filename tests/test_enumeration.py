@@ -90,6 +90,28 @@ def test_budget_guard():
     assert count_avoiders(8, 2, PatternSet.of("112", "122")) == 1430  # catalan(8)
 
 
+def test_plain_walk_budget():
+    # a pattern of length 4 or more is tested at every node with no memo,
+    # so counting and listing stop at length 8 whatever the other patterns
+    for ps in (PatternSet.of("1234"), PatternSet.of("12345"), PatternSet.of("1234", "4321"),
+               PatternSet.of("123", "2143")):
+        for n, m in ((9, 1), (3, 3), (5, 2)):
+            with pytest.raises(BudgetExceeded, match=f"length {n * m} exceeds the budget of 8"):
+                count_avoiders(n, m, ps)
+            with pytest.raises(BudgetExceeded, match=f"length {n * m} exceeds the budget of 8"):
+                list_avoiders(n, m, ps)
+    # length 8 is served: with 12 only the weakly decreasing word avoids
+    for n, m in ((8, 1), (4, 2)):
+        ps = PatternSet.of("12", "1234")
+        assert count_avoiders(n, m, ps) == 1
+        assert [s.letters for s in list_avoiders(n, m, ps)] == \
+            [tuple(v for v in range(n, 0, -1) for _ in range(m))]
+    # patterns of length at most 3 and word counting keep their budgets
+    assert count_avoiders(9, 1, PatternSet.of("1", "123")) == 0
+    assert count_avoiders(9, 1, PatternSet.of("123")) == 4862  # catalan(9)
+    assert len(word_counts_by_length(2, 9, PatternSet.of("1234"))) == 10
+
+
 # -- the heart of the oracle: exhaustive agreement with filter-after-generate --
 
 def _single_patterns():

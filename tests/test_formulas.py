@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -285,6 +286,15 @@ def test_series_sum_is_integral_up_to_large_n():
     for m in (2, 3, 5):
         for n in range(1, 40):
             closed_count(("212", "123"), n, m)  # raises ArithmeticBug if not integral
+
+
+def test_series_sum_equals_the_fraction_sum():
+    # the row sums in integers over the common denominator lcm(1, ..., n+1)
+    for m in range(2, 8):
+        for n in range(1, 80):
+            series = sum(Fraction(math.comb(n, j) * math.comb(n + (m - 1) * j - 1, n - j),
+                                  n + 1 - j) for j in range(n + 1))
+            assert closed_count(("212", "123"), n, m) == series, (n, m)
 
 
 def test_specialization_chain():

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -177,7 +176,7 @@ class TestBranches:
                     continue
                 rule = builtin_rule(name, m)
                 assert rule.fast_step is not None
-                generic = dataclasses.replace(rule, fast_step=None)
+                generic = rule._replace(fast_step=None)
                 assert list(levels(rule, 8)) == list(levels(generic, 8)), (name, m)
 
     def test_children_order_matches_rule_text(self):

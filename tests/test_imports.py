@@ -1,12 +1,19 @@
 """Every package import sits at module level, so an import cycle between
-two modules fails at import time instead of hiding in a function body."""
+two modules fails at import time instead of hiding in a function body; and
+importing the package stays cheap."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import msetperm
 
 SOURCES = sorted(Path(msetperm.__file__).resolve().parent.glob("*.py"))
+SRC = str(Path(msetperm.__file__).resolve().parents[1])
 
 
 def _is_package_import(node: ast.AST) -> bool:
@@ -32,3 +39,14 @@ def test_no_package_import_inside_a_function():
 def test_the_scan_sees_a_nested_import():
     tree = ast.parse("def f():\n    if True:\n        from .formulas import REGISTRY\n")
     assert _function_level_package_imports(tree) == [3]
+
+
+@pytest.mark.parametrize("module", ["msetperm", "msetperm.cli"])
+def test_import_loads_no_heavy_stdlib_module(module):
+    # dataclasses brings inspect, ast, dis and tokenize, and fractions brings
+    # decimal: together most of the time a one-shot command spends importing
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            "print(sorted({'dataclasses', 'inspect', 'fractions'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"
