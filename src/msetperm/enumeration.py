@@ -1,35 +1,23 @@
-"""Brute-force oracle: generate, count, and list pattern-avoiding permutations.
+"""Brute-force oracle: generate, count and list the pattern-avoiding
+permutations of a multiset, and count pattern-avoiding words.
 
-One walk serves counting, listing, generation (no patterns) and word
-counting (each letter's capacity raised above the word length).  It visits the
-prefix tree depth first and never extends a prefix that already contains a
-forbidden pattern.  This is sound because containment is monotone under
-appending letters.  When every letter must be placed (counting, listing and
-generating permutations of a multiset), it also drops a prefix as soon as
-some letter with copies left would complete a pattern: that letter still
-has to come, so no completion avoids the patterns.  The walk carries two
-masks: the letters seen and the letters whose appending would complete a
-pattern.  For the canonical patterns of length 2 and 3 the second mask grows
-by an O(1) term at each appended letter (core's _BLOCKS, which containment
-reads too); the pattern 1 and anything of length 4 or more fall back to a
-direct containment check.
+Permutations take one depth-first walk over prefixes (walk).  It never
+extends a prefix that contains a pattern, and since every letter must be
+placed, it also drops a prefix at which some letter with copies left would
+complete one.  It carries two masks: the letters seen and the letters whose
+appending would complete a pattern.  For the canonical patterns of length 2
+and 3 the second mask grows by an O(1) term at each appended letter (core's
+_BLOCKS, which containment reads too); the pattern 1 and anything of length
+4 or more fall back to a direct containment check.
 
-A walk whose patterns all have an O(1) term takes one of its two memo
-branches, and computes each value below a prefix once per call, keyed only
-on the state that value depends on.  Counting and listing permutations
-(count_avoiders, list_avoiders): the completions below a live prefix depend
-only on what each letter has left.  Counting reads the stored number;
-listing reads it only to skip a state with no completion, and descends into
-every other state to visit its completions in order.  Counting words
-(word_counts_by_length) asks the root once per length, and all lengths share
-one memo: the number of clean extensions of a prefix by exactly k letters
-depends only on k, the blocked letters and, when some pattern has length 3,
-the letters seen; patterns of length 2 read only the appended letter.
-Generation (no patterns, so no dead state), the pattern 1 and patterns of
-length 4 or more keep the plain walk; with a pattern of length 4 or more,
-counting and listing take the smaller PLAIN_LENGTH_BUDGET.
+Words need not use every letter, so word_counts_by_length counts them level
+by level instead: a forward transfer over the states of the same masks, the
+approach of Brändén and Mansour ("Finite automata and pattern avoidance in
+words", J. Combin. Theory Ser. A, 2005).
 
-Counts are plain Python ints, hence arbitrary precision.
+With a pattern of length 4 or more, every path takes the smaller
+PLAIN_LENGTH_BUDGET.  Counts are plain Python ints, hence arbitrary
+precision.
 """
 
 from __future__ import annotations
@@ -37,23 +25,23 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, Sequence
 
-from .core import _BLOCKS, MultisetPermutation, PatternSet, as_pattern_set, contains
+from .core import (_BLOCKS, MultisetPermutation, PatternSet, _advance, as_pattern_set,
+                   contains)
 from .errors import BudgetExceeded
 
 #: Largest permutation length materialized (generate/list).
 LIST_LENGTH_BUDGET = 14
-#: Largest permutation length counted with pruning.
+#: Largest permutation or word length counted with pruning.
 COUNT_LENGTH_BUDGET = 18
-#: Largest permutation length counted or listed when some pattern has length
-#: 4 or more: the walk then keeps no memo and tests that pattern at every node.
+#: Largest length counted or listed when some pattern has length 4 or more:
+#: that pattern is then tested at every node or word with no shared state.
 PLAIN_LENGTH_BUDGET = 8
 
 
-def _check_budget(length: int, budget: int, patterns: PatternSet | None = None) -> None:
+def _check_budget(length: int, budget: int, patterns: PatternSet) -> None:
     """BudgetExceeded when length passes budget, or passes PLAIN_LENGTH_BUDGET
     and one of the patterns has length 4 or more."""
-    if (patterns is not None and length > PLAIN_LENGTH_BUDGET
-            and any(len(p.letters) > 3 for p in patterns)):
+    if length > PLAIN_LENGTH_BUDGET and any(len(p.letters) > 3 for p in patterns):
         budget = PLAIN_LENGTH_BUDGET
     if length > budget:
         raise BudgetExceeded(f"length {length} exceeds the budget of {budget}")
@@ -62,92 +50,66 @@ def _check_budget(length: int, budget: int, patterns: PatternSet | None = None) 
 # The O(1) terms of the two masks, _BLOCKS, live in core with containment.
 
 
-def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
-         visit: Callable[[list[int]], object] | None = None) -> list[int]:
-    """The package's one prefix search over prefixes that use each letter c
-    at most capacity[c] times (capacity is 1-indexed by letter).  counts[d]
-    is the number of avoidance-clean prefixes of length d.
+def walk(capacity: Sequence[int], patterns: PatternSet,
+         visit: Callable[[list[int]], object] | None = None) -> int:
+    """The package's one prefix search over the permutations of the multiset
+    that holds each letter c capacity[c] times (capacity is 1-indexed by
+    letter, so capacity[0] is 0): how many of them avoid the patterns.
 
     A prefix that contains a pattern is never extended, and the last level
-    is only counted, never advanced.  When the capacities add up to depth,
-    every full-length prefix places every letter, so a prefix at which some
-    letter with copies left would complete a pattern is dead: appending it
-    later still completes the pattern, because the prefix plus that letter
-    is a subsequence of every completion.  Such a prefix is not expanded,
-    and only the full length is counted: counts[d] for d < depth is 0.
-    Otherwise (word counting) every length d = 1..depth is counted, each by
-    its own call at the root.
+    is only counted, never advanced.  Every full-length prefix places every
+    letter, so a prefix at which some letter with copies left would complete
+    a pattern is dead: appending it later still completes the pattern,
+    because the prefix plus that letter is a subsequence of every
+    completion.  Such a prefix is not expanded.
 
     Each node's children are the letters with copies left that are not in
     its blocked mask, the union of the _BLOCKS terms of its letters; a
     pattern without an entry (1, or length 4 or more) is tested directly on
     the prefix plus each candidate letter.
 
-    What a node returns.  Asked with k levels left, a node returns the
-    number of clean extensions of its prefix by exactly k more letters.  The
-    root is asked at k = depth when the capacities add up to depth, and at
-    each k = 1..depth otherwise; counts[k] is its answer.
-
-    The memo branches.  When every pattern has a _BLOCKS entry, every term
-    reads only the appended letter, present and again, and a node's value
-    depends on less than its whole prefix.  The walk memoizes it for the
-    length of one call, keyed on that state:
-    - the count, when the capacities add up to depth.  A live prefix's
-      blocked mask meets no letter with copies left, and with the
-      capacities fixed for the call, the remaining counts say what present
-      and again will read.  The key is the tuple of remaining counts.  So
-      the completions themselves depend only on that key, and with a visit
-      the walk uses the memo only to skip a state whose stored count is 0:
-      any other state is descended into, so that visit sees its completions.
-      With no pattern (generation) no state is dead, and there is no memo.
-    - words, with no visit, when no letter can run out before depth (word
-      counting gives each letter more copies than the depth).  The key is
-      the levels left k, blocked on the letters, and present if some pattern
-      has length 3: the terms of 12, 21 and 11 read only the appended
-      letter.  Lower and upper are parts of present.  Again (112, 221,
-      111) holds at a letter's second copy; its term is then in blocked for
-      good, so a third copy would add nothing, and present is all the key
-      needs of the copies placed.  The key holds k but not the word length
-      being counted, so the root calls for all lengths share the memo, and
-      each state is computed once for all of them.
-    Neither key canonicalizes under symmetry.
+    The memo.  When every pattern has a _BLOCKS entry, every term reads only
+    the appended letter, present and again, and a node's value depends on
+    less than its whole prefix.  A live prefix's blocked mask meets no
+    letter with copies left, and with the capacities fixed for the call, the
+    remaining counts say what present and again will read.  So the
+    completions depend only on the tuple of remaining counts, and the walk
+    memoizes their number on that key for the length of one call.  With a
+    visit the walk uses the memo only to skip a state whose stored count is
+    0: any other state is descended into, so that visit sees its
+    completions.  With no pattern (generation) no state is dead, and there
+    is no memo.  The key does not canonicalize under symmetry.
 
     visit(prefix) sees each full-length prefix in lexicographic order (copy
-    it to keep it); when every length is counted, it sees the clean prefixes
-    of each length 1..depth, shortest length first.  Its return value is
-    ignored: the walk always runs to the end, so counts is always filled.
+    it to keep it).  Its return value is ignored: the walk always runs to
+    the end.
     """
+    n, depth = len(capacity) - 1, sum(capacity)
     fast = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
     slow = [p for p in patterns if p.letters not in _BLOCKS]
-    dead_if_blocked = sum(capacity) == depth
-    counting = visit is None and (dead_if_blocked or all(k >= depth for k in capacity[1:]))
     # listing reads the memo only to skip dead states; with no pattern there are none
-    listing = visit is not None and dead_if_blocked and bool(fast)
-    memo: dict[tuple, int] | None = {} if not slow and (counting or listing) else None
-    reads_present = not dead_if_blocked and any(len(p.letters) == 3 for p in patterns)
+    memo: dict[tuple, int] | None = {} if not slow and (visit is None or fast) else None
     letters = sum(1 << c for c in range(1, n + 1) if capacity[c])
-    counts = [1] + [0] * depth
     remaining = list(capacity)
     prefix: list[int] = []
     # only visit and the direct containment check read the prefix
     track = visit is not None or bool(slow)
 
     def rec(present: int, blocked: int, k: int, letters_left: int) -> int:
-        """How many clean extensions of the current prefix have exactly k
-        more letters; its letters are the bits of present and its unplaced
-        letters are the bits of letters_left."""
+        """How many clean completions the current prefix has, with k
+        letters left to place; its letters are the bits of present and its
+        unplaced letters are the bits of letters_left."""
         free = letters_left & ~blocked
         if slow:
             for c in range(1, n + 1):
                 if free >> c & 1 and any(contains(prefix + [c], p) for p in slow):
                     free ^= 1 << c
-        if dead_if_blocked and free != letters_left:
+        if free != letters_left:
             return 0
         if k == 1 and visit is None:
             return free.bit_count()
         if memo is not None:
-            state = tuple(remaining) if dead_if_blocked else \
-                (k, blocked & letters, present if reads_present else 0)
+            state = tuple(remaining)
             total = memo.get(state)
             if total is not None and (visit is None or not total):
                 return total
@@ -182,11 +144,8 @@ def walk(n: int, capacity: Sequence[int], depth: int, patterns: PatternSet,
     if depth == 0:
         if visit is not None:
             visit(prefix)
-        return counts
-    # words ask the root once per length, and every length reads the one memo
-    for k in (depth,) if dead_if_blocked else range(1, depth + 1):
-        counts[k] = rec(0, 0, k, letters)
-    return counts
+        return 1
+    return rec(0, 0, depth, letters)
 
 
 def _list(n: int, mu: tuple[int, ...], patterns: PatternSet
@@ -194,8 +153,7 @@ def _list(n: int, mu: tuple[int, ...], patterns: PatternSet
     total = sum(mu)
     _check_budget(total, LIST_LENGTH_BUDGET, patterns)
     out: list[MultisetPermutation] = []
-    walk(n, (0,) + mu, total, patterns,
-         lambda prefix: out.append(MultisetPermutation(tuple(prefix))))
+    walk((0,) + mu, patterns, lambda prefix: out.append(MultisetPermutation(tuple(prefix))))
     return out
 
 
@@ -221,7 +179,7 @@ def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence) -> int:
         # No restriction: the multinomial counts everything.
         return math.factorial(n * m) // math.factorial(m) ** n
     _check_budget(n * m, COUNT_LENGTH_BUDGET, patterns)
-    return walk(n, (0,) + (m,) * n, n * m, patterns)[n * m]
+    return walk((0,) + (m,) * n, patterns)
 
 
 def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence
@@ -235,14 +193,40 @@ def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence
 
 def word_counts_by_length(n: int, max_length: int,
                           patterns: PatternSet | Sequence) -> list[int]:
-    """Avoiding words over [n] of every length 0..max_length, counted in one
-    walk: words are the prefixes of a search in which every letter may be
-    used max_length + 1 times.  So no letter runs out and the capacities
-    never add up to the depth, not even at n = 1: walk counts each length
-    from the root in turn, and when every pattern has length 2 or 3 all
-    lengths share its word memo, keyed on the state that the patterns read."""
+    """Avoiding words over [n] of every length 0..max_length, counted level
+    by level.  A level maps each state to the number of clean words that
+    reach it, and core's _advance steps a state by a letter.  The state is
+    blocked on the letters; present too when some pattern has length 3 (the
+    terms of 12, 21 and 11 read only the appended letter, and again holds at
+    any repeated letter); and the word itself when some pattern has no
+    _BLOCKS term, which is tested on the word plus each letter.  Each
+    state's steps are computed once per call, in a local table: a state
+    reached at many lengths is expanded once."""
     patterns = as_pattern_set(patterns)
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")
-    _check_budget(max_length, COUNT_LENGTH_BUDGET)
-    return walk(n, (0,) + (max_length + 1,) * n, max_length, patterns)
+    _check_budget(max_length, COUNT_LENGTH_BUDGET, patterns)
+    terms = tuple(_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS)
+    slow = [p for p in patterns if p.letters not in _BLOCKS]
+    reads_present = any(len(p.letters) == 3 for p in patterns)
+    letters = (1 << n + 1) - 2
+    steps: dict[tuple, list[tuple]] = {}
+    level = {(0, 0, ()): 1}
+    counts = [1]
+    for _ in range(max_length):
+        following: dict[tuple, int] = {}
+        for state, words in level.items():
+            targets = steps.get(state)
+            if targets is None:
+                present, blocked, word = state
+                targets = steps[state] = []
+                for v in range(1, n + 1):
+                    masks = _advance(present, blocked, v, terms)
+                    if masks is not None and not any(contains(word + (v,), p) for p in slow):
+                        targets.append((masks[0] if reads_present else 0, masks[1] & letters,
+                                        word + (v,) if slow else ()))
+            for target in targets:
+                following[target] = following.get(target, 0) + words
+        level = following
+        counts.append(sum(level.values()))
+    return counts

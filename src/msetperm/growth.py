@@ -5,10 +5,9 @@ avoiding a pattern with repeated letters can leave super-exponential
 families (the 212-avoiders are the standard example).  The probes report
 exact counts together with the display-only ratio count**(1/(n*m)).
 
-Words (letter counts unconstrained) are counted by the enumeration walk
-that also counts, lists and generates permutations: each letter's capacity
-is raised above the word length, and patterns of length 2 and 3 take the
-walk's word memo branch.
+Words (letter counts unconstrained) are counted by enumeration's
+word_counts_by_length, level by level over the states of the masks that the
+permutation walk carries.
 """
 
 from __future__ import annotations
@@ -86,16 +85,15 @@ def check_stirling_identity(n: int, m: int) -> StirlingVerdict:
 # -- words ------------------------------------------------------------------------
 
 def count_words_avoiding(n: int, length: int, patterns: PatternSet | Sequence) -> int:
-    """Words of the given length over [n] avoiding every pattern, counted by
-    the same walk as the permutation oracle with no multiplicity
-    constraint."""
+    """Words of the given length over [n] avoiding every pattern, counted
+    level by level by the word transfer of enumeration."""
     return word_counts_by_length(n, length, patterns)[length]
 
 
 def word_counterexample_probe(length: int, n: int) -> int:
     """Number of ascent-free (12-avoiding) words of the given length over [n].
 
-    Counted by the pruned word search; equals C(n + length - 1, length), which
+    Counted by the word transfer; equals C(n + length - 1, length), which
     beats any bound of the form constant**length once the alphabet outgrows
     the word length.
     """

@@ -106,10 +106,14 @@ def test_plain_walk_budget():
         assert count_avoiders(n, m, ps) == 1
         assert [s.letters for s in list_avoiders(n, m, ps)] == \
             [tuple(v for v in range(n, 0, -1) for _ in range(m))]
-    # patterns of length at most 3 and word counting keep their budgets
+    # word counting tests such a pattern on every word, so it stops there too
+    with pytest.raises(BudgetExceeded, match="length 9 exceeds the budget of 8"):
+        word_counts_by_length(2, 9, PatternSet.of("1234"))
+    assert len(word_counts_by_length(2, 8, PatternSet.of("1234"))) == 9
+    # patterns of length at most 3 keep their budgets
     assert count_avoiders(9, 1, PatternSet.of("1", "123")) == 0
     assert count_avoiders(9, 1, PatternSet.of("123")) == 4862  # catalan(9)
-    assert len(word_counts_by_length(2, 9, PatternSet.of("1234"))) == 10
+    assert word_counts_by_length(2, 18, PatternSet.of("1", "123"))[18] == 0
 
 
 # -- the heart of the oracle: exhaustive agreement with filter-after-generate --
@@ -233,13 +237,11 @@ def test_walk_drops_only_dead_prefixes_on_irregular_multisets(mu, ps):
     # letter with copies left would complete a pattern
     naive = [s for s in all_multiset_perms(mu)
              if naive_avoids(s, [p.letters for p in ps])]
-    capacity, depth = (0,) + tuple(mu), sum(mu)
+    capacity = (0,) + tuple(mu)
     seen = []
-    counts = walk(len(mu), capacity, depth, ps,
-                  lambda prefix: seen.append(tuple(prefix)) or True)
+    assert walk(capacity, ps, lambda prefix: seen.append(tuple(prefix)) or True) == len(naive)
     assert seen == naive
-    assert counts[depth] == len(naive)
-    assert walk(len(mu), capacity, depth, ps)[depth] == len(naive)
+    assert walk(capacity, ps) == len(naive)
 
 
 # -- the memo branch of the walk ----------------------------------------------
@@ -267,10 +269,10 @@ memo_multisets = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(memo_multisets, memo_pattern_sets)
 def test_memo_branch_matches_plain_walk_and_reference(mu, ps):
-    capacity, depth = (0,) + tuple(mu), sum(mu)
-    memoized = walk(len(mu), capacity, depth, ps)[depth]
+    capacity = (0,) + tuple(mu)
+    memoized = walk(capacity, ps)
     visited = []
-    walk(len(mu), capacity, depth, ps, lambda prefix: visited.append(1) or True)
+    walk(capacity, ps, lambda prefix: visited.append(1) or True)
     naive = sum(1 for s in all_multiset_perms(mu)
                 if naive_avoids(s, [p.letters for p in ps]))
     assert memoized == len(visited) == naive
@@ -278,8 +280,8 @@ def test_memo_branch_matches_plain_walk_and_reference(mu, ps):
 
 @pytest.mark.parametrize("n,max_length", [(0, 7), (1, 7), (2, 7), (3, 5)])
 def test_word_counts_match_naive_reference_at_every_length(n, max_length):
-    # at n = 1 a letter capacity of max_length would add up to the depth,
-    # and the walk would count only the full length
+    # at n = 1 every length has at most one word, which the transfer must
+    # still count at each length, not only at max_length
     for ps in _pair_patterns() + [PatternSet((TRIPLE_REPEAT, p))
                                   for p in LENGTH3_PATTERNS]:
         raw = [p.letters for p in ps]
@@ -288,10 +290,10 @@ def test_word_counts_match_naive_reference_at_every_length(n, max_length):
             f"{ps} at n={n}"
 
 
-# -- the word memo branch of the walk -----------------------------------------
+# -- the word transfer ---------------------------------------------------------
 
 #: Patterns whose term reads only the appended letter, reads present (lower
-#: or upper), or reads again: the three kinds of state the word memo key
+#: or upper), or reads again: the three kinds of state the transfer's state
 #: must cover.
 APPENDED_ONLY = ("12", "21", "11")
 READS_PRESENT = tuple(str(p) for p in LENGTH3_PATTERNS if p.letters[0] != p.letters[1])
@@ -307,16 +309,25 @@ word_cells = st.sampled_from([(n, length) for n in range(0, 5) for length in ran
 
 
 def _plain_word_counts(n, max_length, ps):
-    """Word counts of every length from the plain walk: a visit callback
-    keeps it off the memo branch, and counts the words of each length itself,
-    shortest length first."""
-    visited = []
-    counts = walk(n, (0,) + (max_length + 1,) * n, max_length, ps,
-                  lambda prefix: visited.append(len(prefix)) or True)
-    assert visited == sorted(visited)
-    assert counts[0] == 1
-    for length in range(1, max_length + 1):
-        assert counts[length] == visited.count(length), length
+    """Word counts of every length by a depth-first search over the words
+    themselves: each word steps its own masks by core._advance, full width,
+    and no two words share a state.  The last letter is clean when it is
+    not blocked, so the longest words are counted from their prefixes."""
+    terms = tuple(core._BLOCKS[p.letters] for p in ps)
+    counts = [0] * (max_length + 1)
+    letters = (1 << n + 1) - 2
+
+    def extend(masks, length):
+        counts[length] += 1
+        if length == max_length - 1:
+            counts[max_length] += (letters & ~masks[1]).bit_count()
+        elif length < max_length:
+            for v in range(1, n + 1):
+                child = core._advance(*masks, v, terms)
+                if child is not None:
+                    extend(child, length + 1)
+
+    extend((0, 0), 0)
     return counts
 
 
@@ -342,24 +353,27 @@ def test_word_memo_branch_matches_plain_walk_beyond_the_reference(n, max_length)
 
 def test_word_lengths_share_one_memo(monkeypatch):
     # Every _BLOCKS term evaluation is counted.  Counting the {132,213}-words
-    # of lengths 0..10 over [6] asks the root once per length; all lengths
-    # read one memo, so the walk evaluates 10,024 terms, where a fresh memo
-    # per length would evaluate 33,044.
+    # of lengths 0..10 over [6] reaches 302 states, and the transfer computes
+    # each state's steps once for all lengths: 1,864 terms.
     evaluations = []
     for key, term in list(core._BLOCKS.items()):
         monkeypatch.setitem(core._BLOCKS, key, lambda *args, term=term:
                             evaluations.append(1) or term(*args))
     counts = word_counts_by_length(6, 10, PatternSet.of("132", "213"))
-    assert len(evaluations) == 10_024
+    assert len(evaluations) == 1_864
     assert counts == [1, 6, 36, 176, 716, 2532, 8090, 24010, 67455, 181752, 474028]
 
 
-def test_letters_that_can_run_out_keep_the_plain_walk():
-    # the word memo key holds no remaining counts, so walk takes that branch
-    # only when no letter can run out before the depth
-    ps = PatternSet.of("12")
-    assert walk(2, (0, 3, 3), 5, ps) == walk(2, (0, 3, 3), 5, ps, lambda prefix: True) \
-        == [1, 2, 3, 4, 3, 2]
+@pytest.mark.parametrize("specs", [("12", "1234"), ("1", "123"), ("111", "1212"),
+                                   ("2143", "12345")])
+def test_word_states_with_masks_and_a_word_match_naive_reference(specs):
+    # a pattern with no _BLOCKS term puts the word in the state next to the
+    # masks of the patterns that have one
+    ps = PatternSet.of(*specs)
+    raw = [p.letters for p in ps]
+    for n in range(4):
+        assert word_counts_by_length(n, 6, ps) == \
+            [naive_word_count(n, length, raw) for length in range(7)], f"{ps} at n={n}"
 
 
 def test_counting_never_calls_the_containment_check(monkeypatch):
