@@ -10,14 +10,13 @@ of a forbidden pattern raises NotInDomain naming the positions.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterator
 
 from .core import (
     _Value,
     MultisetPermutation,
     PatternSet,
-    first_ascent,
     find_occurrence,
     normalize_pattern,
 )
@@ -65,14 +64,6 @@ class DyckWord(_Value):
         if depth != 0:
             raise InvalidDyck(f"{letters} has unequal numbers of X and Y")
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     @property
     def half_length(self) -> int:
@@ -160,14 +151,6 @@ class LabelSequence(_Value):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "m", m)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.values == other.values and self.m == other.m
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.m))
-
     @property
     def n(self) -> int:
         return len(self.values) - 1
@@ -188,15 +171,43 @@ def perm_to_labels(sigma: MultisetPermutation) -> LabelSequence:
     """First-ascent positions of the restrictions to letters <= k, k = 0..n.
 
     This reads the tree branch of sigma without building the tree: the
-    restriction to [k] is exactly the ancestor of sigma at height k.
+    restriction to [k] is exactly the ancestor of sigma at height k.  The
+    labels are read in one pass.  The restriction to [k] falls weakly up to
+    its first ascent, and that ascent ends at the first letter <= k that is
+    not a weak left-to-right minimum of sigma.  The letters <= k before it
+    are minima, whose values fall as their positions rise, so two
+    bisections count them.  With no such letter the label is k*m + 1.
     """
-    mu = sigma.multiplicity
-    m = mu[0] if mu else 1
-    if mu.count(m) != len(mu):
+    m = sigma.regular_m
+    if m is None:
         raise NotInDomain("label sequences are defined on regular multisets")
     _require_avoids(sigma, PAIR_122_123)
-    labels = [first_ascent([v for v in sigma.letters if v <= k])
-              for k in range(len(mu) + 1)]
+    letters = sigma.letters
+    length = len(letters)
+    # positions and negated values of the minima, both ascending, and for
+    # each letter the first position where it is not a minimum (length for
+    # none; length also exceeds every letter)
+    min_positions: list[int] = []
+    min_negated: list[int] = []
+    first_other = [length] * (length // m + 1)
+    low = length
+    for i, v in enumerate(letters):
+        if v <= low:
+            low = v
+            min_positions.append(i)
+            min_negated.append(-v)
+        elif first_other[v] == length:
+            first_other[v] = i
+    labels = [1]
+    end = length
+    for k in range(1, len(first_other)):
+        end = min(end, first_other[k])
+        if end == length:
+            labels.append(k * m + 1)
+        else:
+            # the letter at end and the minima <= k before it; the minima
+            # above k all come before end, as one is below the letter there
+            labels.append(1 + bisect_left(min_positions, end) - bisect_left(min_negated, -k))
     return LabelSequence(tuple(labels), m)
 
 
@@ -253,14 +264,6 @@ class LatticePath(_Value):
                     f"path touches the boundary line at ({x},{y}) before the end")
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "m", m)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.steps == other.steps and self.m == other.m
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.steps, self.m))
 
     @property
     def n(self) -> int:

@@ -35,14 +35,6 @@ class PatternPairClass(_Value):
         assert 4 % len(members) == 0
         object.__setattr__(self, "members", members)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.members == other.members
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.members,))
-
     @property
     def representative(self) -> Pair:
         return min(self.members)

@@ -21,6 +21,7 @@ conventions for positional statistics.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -59,14 +60,28 @@ def format_letters(letters: Sequence[int]) -> str:
 
 class _Value:
     """Base of the package's immutable value types.  A subclass lists its
-    fields in __slots__, sets them in __init__ through object.__setattr__
-    after its checks, and defines __eq__ and __hash__ over them (hash equal
-    to that of the field tuple).  The base gives the dataclass-style repr,
-    refuses assignment and deletion with AttributeError, and pickles and
-    copies an instance by calling the class on its fields, so that the
-    checks run again."""
+    fields in __slots__ and sets them in __init__ through object.__setattr__
+    after its checks; that is all of its value semantics.  The base reads
+    the field tuple in __slots__ order and compares (only within one class)
+    and hashes by it, gives the dataclass-style repr, refuses assignment
+    and deletion with AttributeError, and pickles and copies an instance by
+    calling the class on its fields, so that the checks run again."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # one C call per read; attrgetter of a single name returns the bare
+        # value, so that case is wrapped into its 1-tuple
+        get = operator.attrgetter(*cls.__slots__)
+        cls._astuple = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple == other._astuple
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -79,7 +94,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return type(self), self._astuple
 
 
 class MultisetPermutation(_Value):
@@ -105,14 +120,6 @@ class MultisetPermutation(_Value):
             raise InvalidPermutation(
                 f"letters [{', '.join(missing)}] missing from alphabet [1..{n}]")
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
 
     @classmethod
     def regular(cls, letters: Iterable[int], n: int, m: int) -> "MultisetPermutation":
@@ -176,14 +183,6 @@ class Pattern(_Value):
             )
         object.__setattr__(self, "letters", letters)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
-
     @property
     def is_ordinary(self) -> bool:
         """True when all letters are distinct (no forced repetitions)."""
@@ -242,14 +241,6 @@ class PatternSet(_Value):
 
     def __init__(self, patterns: Iterable[Pattern]) -> None:
         object.__setattr__(self, "patterns", tuple(sorted(set(patterns))))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.patterns == other.patterns
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.patterns,))
 
     @classmethod
     def of(cls, *specs: Pattern | str | Sequence[int]) -> "PatternSet":

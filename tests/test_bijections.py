@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from msetperm.bijections import (
     PAIR_112_122,
@@ -18,7 +19,7 @@ from msetperm.bijections import (
     simion_schmidt_f,
     simion_schmidt_g,
 )
-from msetperm.core import MultisetPermutation, avoids_all, left_to_right_minima
+from msetperm.core import MultisetPermutation, avoids_all, first_ascent, left_to_right_minima
 from msetperm.enumeration import list_avoiders
 from msetperm.errors import (
     InvalidDyck,
@@ -118,6 +119,29 @@ class TestLabels:
                 assert back == sigma
                 assert avoids_all(back, PAIR_122_123)
             assert len(seen) == len(avoiders)
+
+
+def _labels_by_definition(sigma: MultisetPermutation) -> tuple[int, ...]:
+    """The first ascent of the restriction of sigma to [k], for k = 0..n."""
+    return tuple(first_ascent([v for v in sigma.letters if v <= k])
+                 for k in range(sigma.alphabet_size + 1))
+
+
+class TestLabelsInOnePass:
+    def test_every_avoider_up_to_length_12(self):
+        for m in range(1, 13):
+            for n in range(12 // m + 1):
+                for sigma in list_avoiders(n, m, PAIR_122_123):
+                    assert perm_to_labels(sigma).values == _labels_by_definition(sigma)
+
+    @given(st.integers(1, 4), st.lists(st.integers(0, 10**6), max_size=80))
+    def test_random_label_sequences(self, m, choices):
+        # each choice picks the next label in its range [m+1, previous + m]
+        values = [1]
+        for c in choices:
+            values.append(m + 1 + c % values[-1])
+        sigma = labels_to_perm(LabelSequence(tuple(values), m))
+        assert perm_to_labels(sigma).values == _labels_by_definition(sigma) == tuple(values)
 
 
 class TestPaths:

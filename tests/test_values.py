@@ -4,13 +4,17 @@ construction, refused assignment, pickling and copying, and the
 constructors' checks."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import msetperm
+
 from msetperm.bijections import DyckWord, LabelSequence, LatticePath
 from msetperm.classify import PatternPairClass
-from msetperm.core import MultisetPermutation, Pattern, PatternSet
+from msetperm.core import MultisetPermutation, Pattern, PatternSet, _Value
 from msetperm.errors import (
     InvalidDyck,
     InvalidLabelSequence,
@@ -126,3 +130,20 @@ def test_a_value_with_one_field_changed_is_unequal():
     for a, b in ((LabelSequence((1,), 2), LabelSequence((1,), 3)),
                  (LatticePath("R", 1), LatticePath("R", 2))):
         assert a != b and hash(a) != hash(b)
+
+
+def test_values_of_different_classes_with_equal_fields_are_unequal():
+    a, b = MultisetPermutation((1, 2)), Pattern((1, 2))
+    assert a != b and b != a and not a == b and not b == a
+
+
+def _subclasses(cls) -> set:
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _subclasses(direct)}
+
+
+def test_only_the_base_defines_equality_and_hash():
+    for module in pkgutil.iter_modules(msetperm.__path__):
+        importlib.import_module(f"msetperm.{module.name}")
+    values = _subclasses(_Value)
+    assert {case[0] for case in CASES[:7]} <= values
+    assert [cls for cls in values if {"__eq__", "__hash__"} & cls.__dict__.keys()] == []
