@@ -18,6 +18,7 @@ from .core import (
     MultisetPermutation,
     PatternSet,
     find_occurrence,
+    left_to_right_minima,
     normalize_pattern,
 )
 from .errors import (
@@ -332,13 +333,8 @@ def enumerate_paths(n: int, m: int) -> Iterator[LatticePath]:
 
 def _free_slots(sigma: MultisetPermutation) -> list[int]:
     """The positions that are not left-to-right minima, in ascending order."""
-    free, low = [], None
-    for i, v in enumerate(sigma.letters, start=1):
-        if low is None or v <= low:
-            low = v
-        else:
-            free.append(i)
-    return free
+    minima = set(left_to_right_minima(sigma))
+    return [i for i in range(1, len(sigma.letters) + 1) if i not in minima]
 
 
 def simion_schmidt_f(sigma: MultisetPermutation) -> MultisetPermutation:

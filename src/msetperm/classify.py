@@ -13,7 +13,7 @@ import itertools
 
 from .core import _Value, LENGTH3_PATTERNS, Pattern, PatternSet, as_pattern
 from .enumeration import COUNT_LENGTH_BUDGET, count_avoiders
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Unsupported
 
 Pair = tuple[Pattern, Pattern]
 
@@ -109,8 +109,12 @@ def empirical_wilf_classes(n_max: int, m_max: int
 
     Equality on the grid is evidence of Wilf equivalence, not a proof; the
     grouping refines as the grid grows (and may split again, as the two
-    Fibonacci-like classes do once m = 3 is included).
+    Fibonacci-like classes do once m = 3 is included).  A grid with no
+    cell (n_max < 1 or m_max < 2) is Unsupported: every class would group
+    together on an empty vector.
     """
+    if n_max < 1 or m_max < 2:
+        raise Unsupported(f"the grid 1 <= n <= {n_max}, 2 <= m <= {m_max} has no cell")
     if n_max * m_max > COUNT_LENGTH_BUDGET:
         raise BudgetExceeded(
             f"grid corner n={n_max}, m={m_max} exceeds the counting budget"

@@ -225,6 +225,8 @@ def cmd_bijection(args) -> int:
 # -- classify / table / growth ----------------------------------------------------
 
 def cmd_classify(args) -> int:
+    # a refused grid prints nothing
+    groups = empirical_wilf_classes(args.nmax, args.mmax) if args.empirical else ()
     classes = classify_all_length3()
     records = []
     for cls in classes:
@@ -241,7 +243,6 @@ def cmd_classify(args) -> int:
     total = sum(len(cls.members) for cls in classes)
     print(f"{total} pairs in {len(classes)} classes")
     if args.empirical:
-        groups = empirical_wilf_classes(args.nmax, args.mmax)
         print(f"empirical grouping on the grid: {len(groups)} groups")
         for group in groups:
             names = " ".join(f"({c.representative[0]},{c.representative[1]})"

@@ -6,8 +6,8 @@ reduced form (value set {1..k}); containment means an order-isomorphic
 subsequence where equal pattern letters must map to equal letters of the
 host permutation.
 
-Patterns of length 2 and 3 are decided by one scan with the walk's O(1) mask
-terms (_BLOCKS), and a whole set of them by one scan that ORs in every
+Patterns of length 2 and 3 are decided by one scan with enumeration's O(1)
+mask terms (_BLOCKS), and a whole set of them by one scan that ORs in every
 pattern's term.  The scan runs a finite automaton per tuple of terms, built
 lazily from the terms one step at a time, shared by every scan with those
 terms and bounded to _SCAN_STEPS stored steps.  A raw sequence is first
@@ -274,7 +274,7 @@ def as_pattern_set(patterns: PatternSet | Iterable) -> PatternSet:
 
 # -- containment ---------------------------------------------------------------
 #
-# find_occurrence's scan and the enumeration walk carry two masks over the
+# find_occurrence's scan and the enumeration transfer read two masks over the
 # letters (bit v stands for the letter v): present, the letters seen, and
 # blocked, the letters whose appending would complete a pattern.  Blocked
 # only grows: a new occurrence that ends in the letter c and uses the letter

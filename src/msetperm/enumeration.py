@@ -1,23 +1,23 @@
 """Brute-force oracle: generate, count and list the pattern-avoiding
 permutations of a multiset, and count pattern-avoiding words.
 
-Permutations take one depth-first walk over prefixes (walk).  It never
-extends a prefix that contains a pattern, and since every letter must be
-placed, it also drops a prefix at which some letter with copies left would
-complete one.  It carries two masks: the letters seen and the letters whose
-appending would complete a pattern.  For the canonical patterns of length 2
-and 3 the second mask grows by an O(1) term at each appended letter (core's
-_BLOCKS, which containment reads too); the pattern 1 and anything of length
-4 or more fall back to a direct containment check.
+Both are counted level by level, one letter per level, by a forward
+transfer: a level maps each state to the number of prefixes or words that
+reach it, and the next level adds that number into every state that an
+allowed letter leads to (the approach of Brändén and Mansour, "Finite
+automata and pattern avoidance in words", J. Combin. Theory Ser. A, 2005).
+For the canonical patterns of length 2 and 3 a letter is decided by O(1)
+terms over the letters seen (core's _BLOCKS, which containment reads too);
+the pattern 1 and anything of length 4 or more are tested directly on the
+prefix or word, which then joins the state.
 
-Words need not use every letter, so word_counts_by_length counts them level
-by level instead: a forward transfer over the states of the same masks, the
-approach of Brändén and Mansour ("Finite automata and pattern avoidance in
-words", J. Combin. Theory Ser. A, 2005).
+A permutation places every letter, so its state is the tuple of remaining
+copies (walk).  A word need not, so its state carries the masks of the
+letters seen and blocked (word_counts_by_length).
 
 With a pattern of length 4 or more, every path takes the smaller
-PLAIN_LENGTH_BUDGET.  Counts are plain Python ints, hence arbitrary
-precision.
+PLAIN_LENGTH_BUDGET, and word counting the PLAIN_WORD_BUDGET too.  Counts
+are plain Python ints, hence arbitrary precision.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ LIST_LENGTH_BUDGET = 14
 #: Largest permutation or word length counted with pruning.
 COUNT_LENGTH_BUDGET = 18
 #: Largest length counted or listed when some pattern has length 4 or more:
-#: that pattern is then tested at every node or word with no shared state.
+#: that pattern is then tested on every prefix or word.
 PLAIN_LENGTH_BUDGET = 8
+#: Most words of the longest length, n ** max_length, counted when some
+#: pattern has length 4 or more: each clean word is then its own state.
+PLAIN_WORD_BUDGET = 4 ** 8
 
 
 def _check_budget(length: int, budget: int, patterns: PatternSet) -> None:
@@ -47,113 +50,94 @@ def _check_budget(length: int, budget: int, patterns: PatternSet) -> None:
         raise BudgetExceeded(f"length {length} exceeds the budget of {budget}")
 
 
-# The O(1) terms of the two masks, _BLOCKS, live in core with containment.
-
-
 def walk(capacity: Sequence[int], patterns: PatternSet,
-         visit: Callable[[list[int]], object] | None = None) -> int:
-    """The package's one prefix search over the permutations of the multiset
-    that holds each letter c capacity[c] times (capacity is 1-indexed by
-    letter, so capacity[0] is 0): how many of them avoid the patterns.
+         visit: Callable[[tuple[int, ...]], object] | None = None) -> int:
+    """The package's one search over the permutations of the multiset that
+    holds each letter c capacity[c] times (capacity is 1-indexed by letter,
+    so capacity[0] is 0): how many of them avoid the patterns.
 
-    A prefix that contains a pattern is never extended, and the last level
-    is only counted, never advanced.  Every full-length prefix places every
-    letter, so a prefix at which some letter with copies left would complete
-    a pattern is dead: appending it later still completes the pattern,
-    because the prefix plus that letter is a subsequence of every
-    completion.  Such a prefix is not expanded.
+    A prefix's state is its tuple of remaining copies.  Every letter must be
+    placed, so a prefix at which some letter with copies left would
+    complete a pattern is dead: the prefix plus that letter is a
+    subsequence of every completion.  So a letter is allowed only when its
+    own _BLOCKS terms block none of the letters left after it, and no dead
+    prefix is reached.  The terms read the letter, the letters seen (those
+    with fewer copies left than their capacity) and whether it was seen
+    before, so the allowed letters depend only on the state.  Counting maps
+    each state to the number of prefixes that reach it, and stops one level
+    short: a live state with one letter left has exactly one completion.
+    The state does not canonicalize under symmetry.
 
-    Each node's children are the letters with copies left that are not in
-    its blocked mask, the union of the _BLOCKS terms of its letters; a
-    pattern without an entry (1, or length 4 or more) is tested directly on
-    the prefix plus each candidate letter.
+    Listing runs the same transfer to the last level, recording each
+    state's allowed letters once, then extends the prefixes by their
+    states' letters, depth first on an explicit stack with the smallest
+    letter on top: they come out in lexicographic order, and the stack
+    holds only the unvisited siblings along one path.  A prefix whose state
+    allows no letter is dropped.  A pattern without a _BLOCKS term (1, or
+    length 4 or more) is tested directly on each extended prefix, so with
+    one the prefix joins the state, and the count is the listing's length.
 
-    The memo.  When every pattern has a _BLOCKS entry, every term reads only
-    the appended letter, present and again, and a node's value depends on
-    less than its whole prefix.  A live prefix's blocked mask meets no
-    letter with copies left, and with the capacities fixed for the call, the
-    remaining counts say what present and again will read.  So the
-    completions depend only on the tuple of remaining counts, and the walk
-    memoizes their number on that key for the length of one call.  With a
-    visit the walk uses the memo only to skip a state whose stored count is
-    0: any other state is descended into, so that visit sees its
-    completions.  With no pattern (generation) no state is dead, and there
-    is no memo.  The key does not canonicalize under symmetry.
-
-    visit(prefix) sees each full-length prefix in lexicographic order (copy
-    it to keep it).  Its return value is ignored: the walk always runs to
-    the end.
+    visit(prefix) sees each full-length prefix, a tuple, in lexicographic
+    order.  Its return value is ignored.
     """
-    n, depth = len(capacity) - 1, sum(capacity)
-    fast = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
+    depth = sum(capacity)
+    terms = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
     slow = [p for p in patterns if p.letters not in _BLOCKS]
-    # listing reads the memo only to skip dead states; with no pattern there are none
-    memo: dict[tuple, int] | None = {} if not slow and (visit is None or fast) else None
-    letters = sum(1 << c for c in range(1, n + 1) if capacity[c])
-    remaining = list(capacity)
-    prefix: list[int] = []
-    # only visit and the direct containment check read the prefix
-    track = visit is not None or bool(slow)
-
-    def rec(present: int, blocked: int, k: int, letters_left: int) -> int:
-        """How many clean completions the current prefix has, with k
-        letters left to place; its letters are the bits of present and its
-        unplaced letters are the bits of letters_left."""
-        free = letters_left & ~blocked
-        if slow:
-            for c in range(1, n + 1):
-                if free >> c & 1 and any(contains(prefix + [c], p) for p in slow):
-                    free ^= 1 << c
-        if free != letters_left:
-            return 0
-        if k == 1 and visit is None:
-            return free.bit_count()
-        if memo is not None:
-            state = tuple(remaining)
-            total = memo.get(state)
-            if total is not None and (visit is None or not total):
-                return total
-        total = 0
-        while free:
-            low = free & -free
-            free ^= low
-            c = low.bit_length() - 1
-            if k == 1:
-                prefix.append(c)
+    counting = visit is None and not slow
+    letters = range(1, len(capacity))
+    steps: dict[tuple, list[tuple[int, tuple]]] = {}
+    level = {tuple(capacity): 1}
+    for _ in range(depth - 1 if counting else depth):
+        following: dict[tuple, int] = {}
+        get = following.get
+        for remaining, ways in level.items():
+            present = left = 0
+            for c in letters:
+                if remaining[c]:
+                    left |= 1 << c
+                if remaining[c] < capacity[c]:
+                    present |= 1 << c
+            steps[remaining] = allowed = []
+            work = list(remaining)
+            for c in letters:
+                copies = remaining[c]
+                if copies:
+                    bit = 1 << c
+                    after = left ^ bit if copies == 1 else left
+                    lower, upper, again = present & (bit - 1), present & -(bit << 1), present & bit
+                    for term in terms:
+                        if term(bit, lower, upper, again) & after:
+                            break
+                    else:
+                        work[c] = copies - 1
+                        child = tuple(work)
+                        work[c] = copies
+                        following[child] = get(child, 0) + ways
+                        allowed.append((c, child))
+        level = following
+    if counting:
+        return sum(level.values())
+    total = 0
+    stack = [(tuple(capacity), ())]
+    while stack:
+        remaining, prefix = stack.pop()
+        if len(prefix) == depth:
+            total += 1
+            if visit is not None:
                 visit(prefix)
-                prefix.pop()
-                total += 1
-            else:
-                if track:
-                    prefix.append(c)
-                remaining[c] -= 1
-                lower, upper = present & (low - 1), present & -(low << 1)
-                again = capacity[c] - remaining[c] == 2
-                child = blocked
-                for block in fast:
-                    child |= block(low, lower, upper, again)
-                total += rec(present | low, child, k - 1,
-                             letters_left if remaining[c] else letters_left ^ low)
-                remaining[c] += 1
-                if track:
-                    prefix.pop()
-        if memo is not None:
-            memo[state] = total
-        return total
-
-    if depth == 0:
-        if visit is not None:
-            visit(prefix)
-        return 1
-    return rec(0, 0, depth, letters)
+            continue
+        for c, child in reversed(steps[remaining]):
+            word = prefix + (c,)
+            if not any(contains(word, p) for p in slow):
+                stack.append((child, word))
+    return total
 
 
 def _list(n: int, mu: tuple[int, ...], patterns: PatternSet
           ) -> list[MultisetPermutation]:
-    total = sum(mu)
-    _check_budget(total, LIST_LENGTH_BUDGET, patterns)
+    _check_budget(sum(mu), LIST_LENGTH_BUDGET, patterns)
     out: list[MultisetPermutation] = []
-    walk((0,) + mu, patterns, lambda prefix: out.append(MultisetPermutation(tuple(prefix))))
+    walk((0,) + mu, patterns, lambda prefix: out.append(MultisetPermutation(prefix)))
     return out
 
 
@@ -173,8 +157,6 @@ def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence) -> int:
     patterns = as_pattern_set(patterns)
     if n < 0 or (n > 0 and m < 1):
         raise ValueError("need n >= 0 and m >= 1")
-    if n == 0:
-        return 1  # the empty permutation avoids every (nonempty) pattern
     if len(patterns) == 0:
         # No restriction: the multinomial counts everything.
         return math.factorial(n * m) // math.factorial(m) ** n
@@ -206,6 +188,9 @@ def word_counts_by_length(n: int, max_length: int,
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")
     _check_budget(max_length, COUNT_LENGTH_BUDGET, patterns)
+    if any(len(p.letters) > 3 for p in patterns) and n ** max_length > PLAIN_WORD_BUDGET:
+        raise BudgetExceeded(f"{n ** max_length} words of length {max_length} exceed "
+                             f"the budget of {PLAIN_WORD_BUDGET}")
     terms = tuple(_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS)
     slow = [p for p in patterns if p.letters not in _BLOCKS]
     reads_present = any(len(p.letters) == 3 for p in patterns)

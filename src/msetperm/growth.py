@@ -6,8 +6,8 @@ families (the 212-avoiders are the standard example).  The probes report
 exact counts together with the display-only ratio count**(1/(n*m)).
 
 Words (letter counts unconstrained) are counted by enumeration's
-word_counts_by_length, level by level over the states of the masks that the
-permutation walk carries.
+word_counts_by_length, level by level as the permutations are, over states
+of the masks of the letters seen and blocked.
 """
 
 from __future__ import annotations

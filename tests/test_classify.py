@@ -9,7 +9,7 @@ from msetperm.classify import (
 )
 from msetperm.core import Pattern, PatternSet
 from msetperm.enumeration import count_avoiders
-from msetperm.errors import BudgetExceeded
+from msetperm.errors import BudgetExceeded, Unsupported
 
 PAPER_MIXED_PAIRS = [
     ("212", "123"), ("212", "132"), ("122", "123"), ("122", "132"),
@@ -139,6 +139,11 @@ class TestCounts:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             empirical_wilf_classes(10, 4)
+
+    def test_empty_grid_is_refused(self):
+        for n_max, m_max in ((0, 3), (4, 1), (4, 0), (0, 0)):
+            with pytest.raises(Unsupported, match="has no cell"):
+                empirical_wilf_classes(n_max, m_max)
 
     def test_count_vector_matches_direct_counts(self):
         vec = count_vector(("112", "122"), 3, 3)

@@ -97,7 +97,7 @@ class TestCount:
         assert err.strip() == "budget exceeded: length 24 exceeds the budget of 18"
 
     def test_plain_walk_budget_exit_code(self, capsys):
-        # within the budget of 18, but 1234 and 4321 have no memo
+        # within the budget of 18, but 1234 and 4321 are tested on every prefix
         code, out, err = run_cli(capsys, "count", "--pair", "1234,4321",
                                  "--n", "9", "--m", "2", "--method", "oracle",
                                  "--no-cache")
@@ -396,6 +396,13 @@ class TestOtherCommands:
         lines = [line.strip() for line in out.splitlines()]
         assert "(121,123) (121,213)" in lines
         assert "(123,132) (132,312)" in lines
+
+    def test_classify_empirical_refuses_an_empty_grid(self, capsys):
+        # with no cell, every class would group together on an empty vector
+        for argv in (("--mmax", "1"), ("--mmax", "0"), ("--nmax", "0")):
+            code, out, err = run_cli(capsys, "classify", "--empirical", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("unsupported: the grid") and err.strip().endswith("has no cell")
 
     def test_classify_records(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--records")

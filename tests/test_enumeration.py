@@ -91,8 +91,9 @@ def test_budget_guard():
 
 
 def test_plain_walk_budget():
-    # a pattern of length 4 or more is tested at every node with no memo,
-    # so counting and listing stop at length 8 whatever the other patterns
+    # a pattern of length 4 or more is tested on every prefix, which joins
+    # the state, so counting and listing stop at length 8 whatever the other
+    # patterns
     for ps in (PatternSet.of("1234"), PatternSet.of("12345"), PatternSet.of("1234", "4321"),
                PatternSet.of("123", "2143")):
         for n, m in ((9, 1), (3, 3), (5, 2)):
@@ -114,6 +115,20 @@ def test_plain_walk_budget():
     assert count_avoiders(9, 1, PatternSet.of("1", "123")) == 0
     assert count_avoiders(9, 1, PatternSet.of("123")) == 4862  # catalan(9)
     assert word_counts_by_length(2, 18, PatternSet.of("1", "123"))[18] == 0
+
+
+def test_plain_word_budget():
+    # with a pattern of length 4 or more every clean word is its own state,
+    # so word counting stops once n ** max_length passes 4**8 = 65,536
+    for ps in (PatternSet.of("1234"), PatternSet.of("12", "2143")):
+        for n, max_length in ((5, 7), (5, 8), (17, 4), (300, 2)):
+            with pytest.raises(BudgetExceeded, match=f"{n ** max_length} words of length "
+                                                     f"{max_length} exceed the budget of 65536"):
+                word_counts_by_length(n, max_length, ps)
+    # 16**4 is within it, and patterns of length at most 3 keep their budget
+    assert word_counts_by_length(16, 4, PatternSet.of("12", "2143")) == \
+        [1, 16, 136, 816, 3876]
+    assert len(word_counts_by_length(5, 8, PatternSet.of("123"))) == 9
 
 
 # -- the heart of the oracle: exhaustive agreement with filter-after-generate --
@@ -142,7 +157,7 @@ def test_pruned_search_matches_naive_filtering_pairs(n, m):
 
 
 def test_listing_matches_reference_filtering_for_every_length3_pair():
-    # the listing walk skips memoized dead states; each of the 78 pairs of
+    # the listing walk never reaches a dead state; each of the 78 pairs of
     # the 13 canonical length-3 patterns lists what filtering every
     # permutation of [n]_m keeps, in order, at n*m <= 8 (m = 1: n <= 5)
     patterns = LENGTH3_PATTERNS + (TRIPLE_REPEAT,)
@@ -157,16 +172,17 @@ def test_listing_matches_reference_filtering_for_every_length3_pair():
             assert listed == naive, f"{{{a},{b}}} at n={n}, m={m}"
 
 
-def test_listing_skips_dead_states_by_the_count_memo(monkeypatch):
-    # Every _BLOCKS term evaluation is counted.  Listing {122,123} on [6]_2
-    # evaluated 25,530 terms when it re-entered every dead state; with the
-    # count memo it evaluates 13,864 and lists the same 1,428 avoiders.
+def test_listing_reads_each_states_letters_once(monkeypatch):
+    # Every _BLOCKS term evaluation is counted.  The transfer decides each
+    # state's letters once, for every prefix that reaches it: listing
+    # {122,123} on [6]_2 evaluates 4,738 terms (the recursive walk it
+    # replaced took 13,864) and lists the 1,428 avoiders.
     evaluations = []
     for key, term in list(core._BLOCKS.items()):
         monkeypatch.setitem(core._BLOCKS, key, lambda *args, term=term:
                             evaluations.append(1) or term(*args))
     listed = list_avoiders(6, 2, PatternSet.of("122", "123"))
-    assert len(evaluations) == 13_864
+    assert len(evaluations) == 4_738
     letters = [s.letters for s in listed]
     assert len(letters) == 1428 == count_avoiders(6, 2, PatternSet.of("122", "123"))
     assert letters == sorted(set(letters))
@@ -244,21 +260,21 @@ def test_walk_drops_only_dead_prefixes_on_irregular_multisets(mu, ps):
     assert walk(capacity, ps) == len(naive)
 
 
-# -- the memo branch of the walk ----------------------------------------------
+# -- counting against listing -------------------------------------------------
 
 def _multinomial(mu):
     return math.factorial(sum(mu)) // math.prod(math.factorial(k) for k in mu)
 
 
 #: One or two patterns of length 2 or 3: each has an O(1) blocked-letter
-#: term, so a count with no visit takes the walk's memo branch.
-memo_pattern_sets = st.lists(
+#: term, so a count with no visit stops one level short of the listing.
+count_pattern_sets = st.lists(
     st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=3),
     min_size=1, max_size=2,
 ).map(lambda specs: PatternSet.of(*specs))
 #: Regular multisets [n]_m and irregular ones, at most 9 copies in all and
 #: few enough permutations for the naive reference.
-memo_multisets = st.one_of(
+count_multisets = st.one_of(
     st.sampled_from([(m,) * n for n in range(1, 10) for m in range(1, 5)
                      if n * m <= 9 and _multinomial((m,) * n) <= 2520]),
     st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=6)
@@ -267,15 +283,25 @@ memo_multisets = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
-@given(memo_multisets, memo_pattern_sets)
-def test_memo_branch_matches_plain_walk_and_reference(mu, ps):
+@given(count_multisets, count_pattern_sets)
+def test_count_transfer_matches_listing_and_reference(mu, ps):
     capacity = (0,) + tuple(mu)
-    memoized = walk(capacity, ps)
+    counted = walk(capacity, ps)
     visited = []
     walk(capacity, ps, lambda prefix: visited.append(1) or True)
     naive = sum(1 for s in all_multiset_perms(mu)
                 if naive_avoids(s, [p.letters for p in ps]))
-    assert memoized == len(visited) == naive
+    assert counted == len(visited) == naive
+
+
+@pytest.mark.parametrize("pair,count", [(("121", "123"), 1660), (("121", "132"), 7084),
+                                        (("123", "132"), 76460), (("123", "231"), 906),
+                                        (("132", "231"), 5120)])
+def test_counts_at_the_widest_levels_within_the_budget(pair, count):
+    # n*m = 18 at [6]_3 is the counting budget, and its levels hold up to
+    # 4**6 states; the counts are pinned from the recursive walk that the
+    # transfer replaced
+    assert count_avoiders(6, 3, pair) == count
 
 
 @pytest.mark.parametrize("n,max_length", [(0, 7), (1, 7), (2, 7), (3, 5)])
@@ -333,7 +359,7 @@ def _plain_word_counts(n, max_length, ps):
 
 @settings(max_examples=150, deadline=None)
 @given(word_pattern_sets, word_cells)
-def test_word_memo_branch_matches_plain_walk_and_reference(ps, cell):
+def test_word_transfer_matches_plain_walk_and_reference(ps, cell):
     n, max_length = cell
     raw = [p.letters for p in ps]
     naive = [naive_word_count(n, length, raw) for length in range(max_length + 1)]
@@ -342,7 +368,7 @@ def test_word_memo_branch_matches_plain_walk_and_reference(ps, cell):
 
 
 @pytest.mark.parametrize("n,max_length", [(6, 8), (5, 9)])
-def test_word_memo_branch_matches_plain_walk_beyond_the_reference(n, max_length):
+def test_word_transfer_matches_plain_walk_beyond_the_reference(n, max_length):
     for specs in (("12",), ("11", "21"), ("123",), ("132", "212"), ("132", "213"),
                   ("112",), ("112", "312"), ("221", "213"), ("111", "121"),
                   ("112", "122", "12")):
