@@ -10,7 +10,7 @@ of a forbidden pattern raises NotInDomain naming the positions.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Iterator
 
 from .core import (
@@ -18,7 +18,6 @@ from .core import (
     MultisetPermutation,
     PatternSet,
     find_occurrence,
-    left_to_right_minima,
     normalize_pattern,
 )
 from .errors import (
@@ -333,8 +332,14 @@ def enumerate_paths(n: int, m: int) -> Iterator[LatticePath]:
 
 def _free_slots(sigma: MultisetPermutation) -> list[int]:
     """The positions that are not left-to-right minima, in ascending order."""
-    minima = set(left_to_right_minima(sigma))
-    return [i for i in range(1, len(sigma.letters) + 1) if i not in minima]
+    free = []
+    low = len(sigma.letters)
+    for i, v in enumerate(sigma.letters, start=1):
+        if v <= low:
+            low = v
+        else:
+            free.append(i)
+    return free
 
 
 def simion_schmidt_f(sigma: MultisetPermutation) -> MultisetPermutation:
@@ -358,22 +363,21 @@ def simion_schmidt_g(tau: MultisetPermutation) -> MultisetPermutation:
     """Inverse of simion_schmidt_f: refill each free slot with the smallest
     unused letter exceeding the closest minimum to its left."""
     _require_avoids(tau, PAIR_122_123)
-    free = _free_slots(tau)
-    letters = list(tau.letters)
-    pool: list[int] = []
-    for i in free:
-        insort(pool, letters[i - 1])
-    floor = 0
-    out = list(letters)
-    free_set = set(free)
-    for i in range(1, len(letters) + 1):
-        if i in free_set:
-            k = bisect_right(pool, floor)
-            if k == len(pool):
-                raise AssertionError("no letter above the current minimum left")
-            out[i - 1] = pool.pop(k)
+    # each free slot with the closest minimum to its left, the running minimum
+    slots = []
+    low = len(tau.letters)
+    for i, v in enumerate(tau.letters):
+        if v <= low:
+            low = v
         else:
-            floor = letters[i - 1]
+            slots.append((i, low))
+    out = list(tau.letters)
+    pool = sorted([out[i] for i, _ in slots])
+    for i, floor in slots:
+        k = bisect_right(pool, floor)
+        if k == len(pool):
+            raise AssertionError("no letter above the current minimum left")
+        out[i] = pool.pop(k)
     res = MultisetPermutation(tuple(out))
     _require_avoids(res, PAIR_122_132)
     return res

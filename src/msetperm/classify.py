@@ -20,7 +20,7 @@ Pair = tuple[Pattern, Pattern]
 
 def _as_pair(pair) -> Pair:
     pats = [as_pattern(p) for p in pair]
-    if len(pats) != 2:
+    if len(pats) != 2 or pats[0] == pats[1]:
         raise ValueError("expected exactly two distinct patterns")
     return tuple(sorted(pats))
 
@@ -66,8 +66,13 @@ def symmetry_closure(pair) -> PatternPairClass:
 
 
 def canonical_pair(pair) -> Pair:
-    """Deterministic representative: the lexicographically least orbit member."""
-    return _orbit_representative(_as_pair(pair))
+    """Deterministic representative: the lexicographically least orbit member.
+    A pair already normalized, such as a representative, is looked up as it
+    is."""
+    if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is Pattern
+            and type(pair[1]) is Pattern and pair[0] < pair[1]):
+        pair = _as_pair(pair)
+    return _orbit_representative(pair)
 
 
 @functools.cache

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import bijections as bij
 from .cache import CountCache
 from .classify import classify_all_length3, empirical_wilf_classes
-from .core import MultisetPermutation, PatternSet
+from .core import MultisetPermutation, PatternSet, as_pattern
 from .enumeration import count_avoiders
 from .errors import (
     BudgetExceeded,
@@ -42,10 +42,16 @@ from .growth import growth_table
 from .verify import SUITES, CheckResult, imported_agreement_report, run_suite
 
 
+@functools.lru_cache(maxsize=256)
 def _parse_pair(text: str) -> tuple[str, str]:
+    """The two pattern texts of --pair, as given; Unsupported unless they are
+    two distinct patterns once normalized (233 reads as 122).  Memoized, so
+    that a process serving many requests parses each --pair text once."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) != 2:
         raise Unsupported(f"--pair wants two patterns, got {text!r}")
+    if as_pattern(parts[0]) == as_pattern(parts[1]):
+        raise Unsupported(f"--pair wants two distinct patterns, got {text!r}")
     return parts[0], parts[1]
 
 

@@ -72,10 +72,16 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
     state's allowed letters once, then extends the prefixes by their
     states' letters, depth first on an explicit stack with the smallest
     letter on top: they come out in lexicographic order, and the stack
-    holds only the unvisited siblings along one path.  A prefix whose state
-    allows no letter is dropped.  A pattern without a _BLOCKS term (1, or
-    length 4 or more) is tested directly on each extended prefix, so with
-    one the prefix joins the state, and the count is the listing's length.
+    holds only the unvisited siblings along one path.  A state with a
+    forced tail is not unfolded.  The full state has the empty tail; one
+    backward pass over the levels, deepest first, drops each letter whose
+    child has no completion and gives a state left with one letter c, whose
+    child has a tail, the tail (c,) + that tail.  A prefix that reaches a
+    state with a tail is emitted as prefix + tail.  A pattern without a
+    _BLOCKS term (1, or length 4 or more) is tested directly on each
+    extended prefix, so with one the prefix joins the state: there is no
+    backward pass, only the full state has a tail, a prefix whose state
+    allows no letter is dropped, and the count is the listing's length.
 
     visit(prefix) sees each full-length prefix, a tuple, in lexicographic
     order.  Its return value is ignored.
@@ -117,18 +123,30 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
         level = following
     if counting:
         return sum(level.values())
+    tails: dict[tuple, tuple[int, ...]] = dict.fromkeys(level, ())
+    if not slow:
+        # deepest level first: steps holds the levels in order
+        for remaining in reversed(steps):
+            allowed = steps[remaining] = [(c, child) for c, child in steps[remaining]
+                                          if child in tails or steps.get(child)]
+            if len(allowed) == 1:
+                c, child = allowed[0]
+                tail = tails.get(child)
+                if tail is not None:
+                    tails[remaining] = (c,) + tail
     total = 0
     stack = [(tuple(capacity), ())]
     while stack:
         remaining, prefix = stack.pop()
-        if len(prefix) == depth:
+        tail = tails.get(remaining)
+        if tail is not None:
             total += 1
             if visit is not None:
-                visit(prefix)
+                visit(prefix + tail)
             continue
         for c, child in reversed(steps[remaining]):
             word = prefix + (c,)
-            if not any(contains(word, p) for p in slow):
+            if not slow or not any(contains(word, p) for p in slow):
                 stack.append((child, word))
     return total
 

@@ -79,6 +79,9 @@ RECURRENCE_FAMILIES = (_REP_211_213, _REP_122_213)
 
 def _family(pair) -> Pair:
     """The representative of the Fibonacci-like family that pair belongs to."""
+    if pair in RECURRENCE_FAMILIES:
+        # the representative itself, as the registry's evaluators pass it
+        return pair
     rep = canonical_pair(pair)
     if rep in RECURRENCE_FAMILIES:
         return rep
@@ -177,6 +180,10 @@ class FormulaEntry(NamedTuple):
 
     def validity(self, n: int, m: int) -> bool:
         return self.is_servable() and n >= self.n_min and m >= 2
+
+    @property
+    def name(self) -> str:
+        return f"({self.table_pair[0]},{self.table_pair[1]})"
 
     @property
     def validity_text(self) -> str:
@@ -353,15 +360,14 @@ def _serve(pair, n: int, m: int, proved_only: bool) -> BigCount:
     if entry is None:
         raise Unsupported(
             f"no catalogued formula for the class of ({rep[0]},{rep[1]})")
-    name = f"({entry.table_pair[0]},{entry.table_pair[1]})"
     if entry.evaluator is None:
-        raise Unsupported(f"{name}: {entry.note}")
+        raise Unsupported(f"{entry.name}: {entry.note}")
     if not entry.validity(n, m):
         raise OutOfDomain(
-            f"{name} is catalogued for {entry.validity_text}, not (n={n}, m={m})")
+            f"{entry.name} is catalogued for {entry.validity_text}, not (n={n}, m={m})")
     if proved_only and entry.trust != "proved-here":
         raise Unsupported(
-            f"{name} is {entry.trust}, not proved here; 'msetperm table' lists "
+            f"{entry.name} is {entry.trust}, not proved here; 'msetperm table' lists "
             f"its quoted values with their trust, and --method oracle counts it")
     return entry.evaluator(n, m)
 

@@ -152,8 +152,7 @@ def verify_table1(n_max: int = 4, m_max: int = 3) -> list[CheckResult]:
         # closed_count counts n = 0 as 1 for every pair
         cells = [(n, m) for n, m in _grid(n_max, m_max)
                  if not n or entry.validity(n, m)]
-        name = f"({entry.table_pair[0]},{entry.table_pair[1]})"
-        results.append(_check("table1", name, _row_failures(entry, cells),
+        results.append(_check("table1", entry.name, _row_failures(entry, cells),
                               f"{len(cells)} cells"))
     return results
 

@@ -53,11 +53,13 @@ class TestClosure:
         # letters are reduced, as every pattern reader does: 275 reads as 132
         assert canonical_pair([(2, 7, 5), (1, 2, 3)]) == canonical_pair(("132", "123"))
 
-    def test_canonical_pair_wants_two_patterns_equal_or_not(self):
-        p = Pattern.parse("123")
-        assert canonical_pair(("123", "123")) == (p, p)
-        with pytest.raises(ValueError):
-            canonical_pair(("122",))
+    def test_canonical_pair_wants_two_distinct_patterns(self):
+        # 233 reduces to 122, so the last two are one pattern too
+        for pair in (("122",), ("123", "123"), ("122", "233")):
+            with pytest.raises(ValueError, match="two distinct patterns"):
+                canonical_pair(pair)
+            with pytest.raises(ValueError, match="two distinct patterns"):
+                symmetry_closure(pair)
 
 
 class TestClassification:

@@ -40,6 +40,13 @@ class TestCount:
                                "--no-cache")
         assert code == 2 and "unsupported" in err
 
+    @pytest.mark.parametrize("pair", ["122,122", "122,233"])
+    def test_a_pair_of_one_pattern_is_refused(self, capsys, pair):
+        # 233 reduces to 122: the oracle would count {122} alone, 15
+        code, out, err = run_cli(capsys, "count", "--pair", pair, "--n", "3", "--m", "2",
+                                 "--method", "oracle", "--no-cache")
+        assert code == 2 and out == "" and "two distinct patterns" in err
+
     @pytest.mark.parametrize("argv", [
         ("--pair", "212,132", "--n", "4", "--m", "2"),  # quoted 55, oracle 37
         ("--pair", "111,123", "--n", "3", "--m", "2"),  # quoted 5, oracle 43

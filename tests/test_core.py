@@ -325,6 +325,9 @@ class TestScanAutomaton:
             assert max(steps) == 8 and steps.count(8) >= 20
 
     def test_memory_stays_bounded_over_long_random_scans(self, monkeypatch):
+        # a cap these scans reach: under the default they store all but a few
+        # of their steps, so the bound below would test nothing
+        monkeypatch.setattr(core, "_SCAN_STEPS", 1024)
         monkeypatch.setattr(core, "_TABLES", {})
         rng = random.Random(2024)
         words = [tuple(rng.randrange(40) for _ in range(40)) for _ in range(3000)]

@@ -235,6 +235,20 @@ def test_walk_matches_naive_reference(ps, cell):
     assert [s.letters for s in list_avoiders(n, m, ps)] == naive
 
 
+@pytest.mark.parametrize("specs", [("12", "1234"), ("1", "123"), ("111", "1212"),
+                                   ("123", "1234"), ("2143", "12345")])
+def test_listing_with_a_pattern_tested_on_the_prefix_matches_naive_reference(specs):
+    # one pattern has a _BLOCKS term and one has none, which is tested on each
+    # prefix: a forced tail would skip that test on the letters it appends.
+    # Every cell with n*m <= 8 but [7]_1 and [8]_1, whose 5,040 and 40,320
+    # permutations take the reference up to 11 s.
+    ps = PatternSet.of(*specs)
+    for n, m in [(n, m) for m in range(1, 9) for n in range(8 // m + 1)
+                 if _multinomial((m,) * n) <= 2520]:
+        assert [s.letters for s in list_avoiders(n, m, ps)] == \
+            naive_list(n, m, [p.letters for p in ps]), (specs, n, m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4)
        .filter(lambda mu: len(set(mu)) > 1 and sum(mu) <= 7))

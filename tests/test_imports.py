@@ -50,3 +50,29 @@ def test_import_loads_no_heavy_stdlib_module(module):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "[]"
+
+
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names a module imports and never reads (from __future__ aside)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in read)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the package's __init__ imports its public names to re-export them
+    found = {path.name: names for path in SOURCES if path.name != "__init__.py"
+             if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse("import os.path\nfrom bisect import insort, bisect_right as br\n"
+                     "x: br = os.sep\n")
+    assert _unused_imports(tree) == ["insort"]
