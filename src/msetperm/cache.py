@@ -2,25 +2,38 @@
 
 Only the pruned-search oracle is cached; formulas, recurrences and
 succession rules recompute faster than the file is read.  One JSON record
-per line, keyed by a digest of (pair as given, n, m).  Counts are stored as
-strings so any tool can read the file without big-integer support.  A
-corrupt line is skipped with a warning.  The audit is deterministic: a hit
-whose key falls in a fixed 1-in-AUDIT_EVERY bucket is recomputed on every
-lookup, and any other hit is returned as stored.  So a well-formed record
-with a wrong count is caught only in that bucket; under any other key it is
-served until the file is removed.  Writes take an exclusive advisory lock
-so concurrent CLI runs append safely.
+per line, keyed by the first 16 hex digits of the SHA-256 of the JSON
+``[pair as given, n, m]``, such as ``[["122", "213"], 4, 2]``.  SHA-256 comes
+from the interpreter's built-in module when it has one (``_sha2`` on 3.12+,
+``_sha256`` before), so a CLI process does not load OpenSSL through
+``hashlib``; the digest, and so every key, is the same either way.  Counts
+are stored as strings so any tool can read the file without big-integer
+support.  A corrupt line, including one that is not UTF-8, is skipped with
+a warning.  The audit is deterministic: a hit whose key falls in a fixed
+1-in-AUDIT_EVERY bucket is recomputed on every lookup, and any other hit is
+returned as stored.  So a well-formed record with a wrong count is caught
+only in that bucket; under any other key it is served until the file is
+removed.  Writes take an exclusive advisory lock so concurrent CLI runs
+append safely.
 """
 
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 from typing import Callable
+
+# hashlib loads OpenSSL's libcrypto, several MB of a one-shot process's memory
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 ENV_VAR = "MSETPERM_CACHE"
 AUDIT_EVERY = 20
@@ -36,7 +49,7 @@ def default_cache_path() -> Path:
 
 def _digest(pair: tuple[str, str], n: int, m: int) -> str:
     payload = json.dumps([list(pair), n, m])
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return sha256(payload.encode()).hexdigest()[:16]
 
 
 class CountCache:
@@ -67,7 +80,8 @@ class CountCache:
     def lookup(self, pair: tuple[str, str], n: int, m: int) -> int | None:
         key = _digest(pair, n, m)
         try:
-            text = self.path.read_text()
+            # an undecodable byte becomes U+FFFD, so only its line is corrupt
+            text = self.path.read_text(encoding="utf-8", errors="replace")
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -96,7 +110,7 @@ class CountCache:
         line = json.dumps(record) + "\n"
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a") as fh:
+            with open(self.path, "a", encoding="utf-8") as fh:
                 fcntl.flock(fh, fcntl.LOCK_EX)
                 fh.write(line)
                 fcntl.flock(fh, fcntl.LOCK_UN)

@@ -131,8 +131,9 @@ _QUOTED_VALUES = {(("122", "321"), 2, 3): 4, (("112", "122"), 3, 2): 5,
 # -- table of counting families ---------------------------------------------------
 
 def _row_failures(entry, cells: Iterable[tuple[int, int]]) -> Iterator[str]:
+    patterns = PatternSet(entry.pair)
     for n, m in cells:
-        oracle = count_avoiders(n, m, PatternSet(entry.pair))
+        oracle = count_avoiders(n, m, patterns)
         claims = {"formula": closed_count(entry.pair, n, m),
                   "quoted": _QUOTED_VALUES.get((entry.table_pair, n, m))}
         if n and entry.pair in RECURRENCE_FAMILIES:
@@ -164,9 +165,10 @@ def imported_agreement_report(n_max: int = 4, m_max: int = 3) -> list[AgreementR
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         if entry.trust == "proved-here" or not entry.is_servable():
             continue
+        patterns = PatternSet(entry.pair)
         for n, m in _grid(n_max, m_max):
             formula = entry.evaluator(n, m) if entry.validity(n, m) else None
-            oracle = count_avoiders(n, m, PatternSet(entry.pair))
+            oracle = count_avoiders(n, m, patterns)
             rows.append(AgreementRow(entry.table_pair, entry.trust, n, m,
                                      formula, oracle))
     return rows
@@ -387,8 +389,8 @@ def verify_growth(*, word_max: int = 10) -> list[CheckResult]:
 def _class_failures(classes) -> Iterator[str]:
     cells = list(_grid(_CLASS_BUDGET, _CLASS_BUDGET, _CLASS_BUDGET))
     for cls in classes:
-        vectors = (tuple(count_avoiders(n, m, PatternSet(member)) for n, m in cells)
-                   for member in cls.members)
+        vectors = (tuple(count_avoiders(n, m, patterns) for n, m in cells)
+                   for patterns in map(PatternSet, cls.members))
         base = next(vectors)
         if any(vec != base for vec in vectors):
             yield f"counts differ inside class {cls}"

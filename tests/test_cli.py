@@ -8,7 +8,7 @@ import pytest
 
 import msetperm
 from msetperm import cli, formulas
-from msetperm.cache import CountCache
+from msetperm.cache import AUDIT_EVERY, CountCache, _digest
 from msetperm.cli import build_parser, main
 from msetperm.gentree import SuccessionRule, builtin_rule, count_at_height
 
@@ -17,6 +17,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def subprocess_env() -> dict[str, str]:
+    # pytest's pythonpath setting reaches only its own sys.path, so hand a
+    # subprocess the directory this package was imported from.
+    src = str(Path(msetperm.__file__).resolve().parent.parent)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestCount:
@@ -319,6 +327,60 @@ class TestCache:
             outcomes.add(recomputed[0])
         assert outcomes == {0, 1}
 
+    def test_a_byte_that_is_not_utf8_spoils_only_its_line(self, tmp_path, capsys):
+        cache_file = tmp_path / "counts.jsonl"
+        CountCache(cache_file).store(("122", "312"), 4, 2, 7)
+        cache_file.write_bytes(b"\xff\xfe\n" + cache_file.read_bytes())
+        assert CountCache(cache_file).lookup(("122", "312"), 4, 2) == 7
+        assert capsys.readouterr().err.count("ignoring corrupt line") == 1
+        code, out, err = run_cli(capsys, "count", "--pair", "122,312", "--n", "4",
+                                 "--m", "2", "--method", "oracle", "--cache", str(cache_file))
+        assert (code, out) == (0, "7\n")
+        assert err.count("ignoring corrupt line") == 1
+
+    # the first key falls in the audit bucket, which the audit test above needs
+    @pytest.mark.parametrize("pair,n,m,key", [
+        (("122", "213"), 4, 2, "8e5878d68666a370"),
+        (("122", "312"), 4, 2, "63ec3ff6fe12b443"),
+        (("1234", "2143"), 13, 1, "68743d14195c4bd5"),
+    ])
+    def test_keys_are_pinned(self, pair, n, m, key):
+        assert _digest(pair, n, m) == key
+        assert (int(key, 16) % AUDIT_EVERY == 0) == (pair == ("122", "213"))
+
+    def test_a_record_keyed_by_hashlib_is_found(self, tmp_path):
+        import hashlib
+        pair, n, m = ("112", "122"), 4, 2
+        key = hashlib.sha256(json.dumps([list(pair), n, m]).encode()).hexdigest()[:16]
+        cache_file = tmp_path / "counts.jsonl"
+        cache_file.write_text(json.dumps({"key": key, "pair": list(pair), "n": n, "m": m,
+                                          "count": "12"}) + "\n")
+        assert CountCache(cache_file).lookup(pair, n, m) == 12
+
+    def test_without_a_builtin_sha256_hashlib_gives_the_same_key(self):
+        code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                "from msetperm.cache import _digest\n"
+                "print('hashlib' in sys.modules, _digest(('122', '213'), 4, 2))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=subprocess_env())
+        assert proc.stdout.split() == ["True", _digest(("122", "213"), 4, 2)]
+
+    def test_two_concurrent_writers_lose_no_record(self, tmp_path):
+        cache_file = tmp_path / "counts.jsonl"
+        code = ("import sys\nfrom pathlib import Path\nfrom msetperm.cache import CountCache\n"
+                "cache, m = CountCache(Path(sys.argv[1])), int(sys.argv[2])\n"
+                "for n in range(200):\n"
+                "    cache.store(('122', '213'), n, m, 1000 * m + n)\n")
+        writers = [subprocess.Popen([sys.executable, "-c", code, str(cache_file), str(m)],
+                                    env=subprocess_env()) for m in (1, 2)]
+        assert [w.wait(timeout=60) for w in writers] == [0, 0]
+        lines = cache_file.read_text().splitlines()
+        assert len(lines) == 400
+        assert all(json.loads(line)["count"] for line in lines)
+        cache = CountCache(cache_file)
+        assert all(cache.lookup(("122", "213"), n, m) == 1000 * m + n
+                   for m in (1, 2) for n in range(200))
+
 
 class TestBijectionCommand:
     def test_dyck_forward(self, capsys):
@@ -547,14 +609,9 @@ class TestOtherCommands:
 
 
 def test_console_entry_point_runs():
-    # pytest's pythonpath setting reaches only its own sys.path, so hand the
-    # subprocess the directory this package was imported from.
-    src = str(Path(msetperm.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "msetperm.cli", "count", "--pair", "112,122",
          "--n", "4", "--m", "3", "--no-cache"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert proc.stdout.strip() == "8"
