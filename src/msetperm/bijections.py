@@ -5,7 +5,9 @@
 * the minima-fixing map between (122,132)- and (122,123)-avoiders
 
 Each direction checks every permutation it takes or returns: an occurrence
-of a forbidden pattern raises NotInDomain naming the positions.
+of a forbidden pattern raises NotInDomain naming the positions.  The
+minima-fixing map also checks, by one sort and compare, that its image is a
+permutation of its input's letters.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .core import (
     MultisetPermutation,
     PatternSet,
     find_occurrence,
+    format_letters,
     normalize_pattern,
 )
 from .errors import (
@@ -252,16 +255,19 @@ class LatticePath(_Value):
         if rights != 1 + m * n:
             raise InvalidPath(
                 f"{ups} up-steps need exactly {1 + m * n} right-steps")
-        x = y = 0
-        last = len(steps) - 1
-        for k, ch in enumerate(steps):
-            if ch == "U":
-                y += 1
-            else:
-                x += 1
-            if x == m * y + 1 and k != last:
+        # read by the runs of right-steps before each up-step: the path
+        # starts left of the line x = m*y + 1, and it stays left until the
+        # end iff the run before each up-step ends left of the line at that
+        # height, as x moves by one and the line only moves right; the first
+        # run that reaches the line touches it there
+        x = 0
+        line = 1
+        for y, run in enumerate(steps.split("U")[:-1]):
+            x += len(run)
+            if x >= line:
                 raise InvalidPath(
-                    f"path touches the boundary line at ({x},{y}) before the end")
+                    f"path touches the boundary line at ({line},{y}) before the end")
+            line += m
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "m", m)
 
@@ -274,16 +280,16 @@ class LatticePath(_Value):
 
 
 def path_to_labels(path: LatticePath) -> LabelSequence:
-    """Record m*y - x + 1 at the origin and after every up-step."""
+    """Record m*y - x + 1 at the origin and after every up-step, where x
+    adds up the runs of right-steps before the up-steps."""
     m = path.m
     labels = [1]
-    x = y = 0
-    for ch in path.steps:
-        if ch == "U":
-            y += 1
-            labels.append(m * y - x + 1)
-        else:
-            x += 1
+    x = 0
+    top = 1
+    for run in path.steps.split("U")[:-1]:
+        x += len(run)
+        top += m
+        labels.append(top - x)
     return LabelSequence(tuple(labels), m)
 
 
@@ -342,6 +348,15 @@ def _free_slots(sigma: MultisetPermutation) -> list[int]:
     return free
 
 
+def _same_multiset(letters: list[int], source: MultisetPermutation) -> MultisetPermutation:
+    """The letters as a permutation, checked by one sort and compare to be
+    one of the multiset of source; AssertionError if they are not."""
+    if sorted(letters) != sorted(source.letters):
+        raise AssertionError(f"{format_letters(letters)} is not a permutation "
+                             f"of the letters of {source}")
+    return MultisetPermutation._known(tuple(letters))
+
+
 def simion_schmidt_f(sigma: MultisetPermutation) -> MultisetPermutation:
     """Keep the left-to-right minima; refill the other slots left to right
     with the removed letters in decreasing order.
@@ -354,7 +369,7 @@ def simion_schmidt_f(sigma: MultisetPermutation) -> MultisetPermutation:
     removed = sorted((letters[i - 1] for i in free), reverse=True)
     for slot, value in zip(free, removed):
         letters[slot - 1] = value
-    out = MultisetPermutation(tuple(letters))
+    out = _same_multiset(letters, sigma)
     _require_avoids(out, PAIR_122_123)
     return out
 
@@ -378,6 +393,6 @@ def simion_schmidt_g(tau: MultisetPermutation) -> MultisetPermutation:
         if k == len(pool):
             raise AssertionError("no letter above the current minimum left")
         out[i] = pool.pop(k)
-    res = MultisetPermutation(tuple(out))
+    res = _same_multiset(out, tau)
     _require_avoids(res, PAIR_122_132)
     return res

@@ -20,6 +20,7 @@ conventions for positional statistics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Sequence
@@ -61,19 +62,22 @@ def format_letters(letters: Sequence[int]) -> str:
 class _Value:
     """Base of the package's immutable value types.  A subclass lists its
     fields in __slots__ and sets them in __init__ through object.__setattr__
-    after its checks; that is all of its value semantics.  The base reads
-    the field tuple in __slots__ order and compares (only within one class)
-    and hashes by it, gives the dataclass-style repr, refuses assignment
-    and deletion with AttributeError, and pickles and copies an instance by
-    calling the class on its fields, so that the checks run again."""
+    after its checks; that is all of its value semantics.  A slot whose name
+    starts with _ is not a field but a value derived from the fields, set
+    on first use.  The base reads the field tuple in __slots__ order and
+    compares (only within one class) and hashes by it, gives the
+    dataclass-style repr, refuses assignment and deletion with
+    AttributeError, and pickles and copies an instance by calling the class
+    on its fields, so that the checks run again."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         # one C call per read; attrgetter of a single name returns the bare
         # value, so that case is wrapped into its 1-tuple
-        get = operator.attrgetter(*cls.__slots__)
-        cls._astuple = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        get = operator.attrgetter(*fields)
+        cls._astuple = property(get if len(fields) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -84,7 +88,7 @@ class _Value:
         return hash(self._astuple)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -107,11 +111,12 @@ class MultisetPermutation(_Value):
     def __init__(self, letters: Iterable[int]) -> None:
         # a tuple, so that equal letters give equal, hashable values
         letters = tuple(letters)
-        # min, max and one set: time and memory linear in the letters
-        if letters and min(letters) < 1:
-            raise InvalidPermutation("letters must be positive integers")
+        # one set, and min and max over its distinct letters: time and
+        # memory linear in the letters
         present = set(letters)
-        n = max(letters, default=0)
+        if present and min(present) < 1:
+            raise InvalidPermutation("letters must be positive integers")
+        n = max(present, default=0)
         if len(present) != n:
             gaps = (i for i in range(1, n + 1) if i not in present)
             missing = [str(i) for i in itertools.islice(gaps, 11)]
@@ -122,14 +127,28 @@ class MultisetPermutation(_Value):
         object.__setattr__(self, "letters", letters)
 
     @classmethod
+    def _known(cls, letters: Letters) -> "MultisetPermutation":
+        """The letters, a tuple the caller has checked to be a permutation
+        of its multiset, with no check run."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "letters", letters)
+        return sigma
+
+    @classmethod
     def regular(cls, letters: Iterable[int], n: int, m: int) -> "MultisetPermutation":
         """The letters as a permutation of [n]_m; InvalidPermutation unless
-        each of 1..n occurs exactly m times.  The constructor has checked
-        that every letter up to the largest occurs, so one sort and two
-        slices decide it: the sorted letters end in n, and every block of m
-        begins and ends with the same letter."""
-        sigma = cls(tuple(letters))
-        s = sorted(sigma.letters)
+        each of 1..n occurs exactly m times.  One sort and one compare with
+        the sorted letters of [n]_m accept it.  Otherwise the constructor
+        checks that every letter up to the largest occurs, and then one sort
+        and two slices say why it fails: the sorted letters end in n, and
+        every block of m begins and ends with the same letter."""
+        letters = tuple(letters)
+        # with m > 0, the length check bounds n by the number of letters, so
+        # the list of [n]_m is never built longer than the letters
+        if m > 0 and len(letters) == n * m and sorted(letters) == sorted([*range(1, n + 1)] * m):
+            return cls._known(letters)
+        sigma = cls(letters)
+        s = sorted(letters)
         if len(s) != n * m or s and (s[-1] != n or s[::m] != s[m - 1::m]):
             raise InvalidPermutation(f"{sigma} is not a permutation of [{n}]_{m}")
         return sigma
@@ -241,9 +260,10 @@ def as_pattern(spec: Pattern | str | Sequence[int]) -> Pattern:
 
 
 class PatternSet(_Value):
-    """A deduplicated set of patterns in canonical sort order."""
+    """A deduplicated set of patterns in canonical sort order.  find_occurrence
+    stores the patterns' _BLOCKS terms in _terms on first use."""
 
-    __slots__ = ("patterns",)
+    __slots__ = ("patterns", "_terms")
     patterns: tuple[Pattern, ...]
 
     def __init__(self, patterns: Iterable[Pattern]) -> None:
@@ -358,16 +378,13 @@ def _ranks(letters: Sequence[int]) -> Letters:
 # and the letter, so the state decides every later step.
 
 #: The most steps a scan table stores, so it holds at most _SCAN_STEPS + 1
-#: states; a scan that needs a step once the table is full finishes on the
-#: bare masks.  A stored step and its new state take at most about 450
-#: bytes on CPython 3.11, so a table holds at most about 15 MB.  The
-#: (122,123) table that checks every avoider of length <= 12 settles at
-#: 12,196 states and 27,949 steps (4.8 MB); with a smaller cap most of those
-#: scans would finish on the bare masks, which is slower.
+#: states; a step taken once the table is full is computed and not stored.
+#: A stored step and its new state take at most about 450 bytes on CPython
+#: 3.11, so a table holds at most about 15 MB.  The (122,123) table that
+#: checks every avoider of length <= 12 settles at 12,196 states and 27,949
+#: steps (4.8 MB); with a smaller cap most of those scans would compute
+#: their steps, which is slower.
 _SCAN_STEPS = 1 << 15
-
-#: The target of a step whose letter arrives blocked.
-_HIT = object()
 
 
 def _advance(present: int, blocked: int, v: int,
@@ -383,42 +400,65 @@ def _advance(present: int, blocked: int, v: int,
     return present | bit, blocked
 
 
+class _Hit(dict):
+    """The sink a blocked letter leads to: every letter leads back to it."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> "_Hit":
+        self[v] = self
+        return self
+
+
+#: The target of a step whose letter arrives blocked.
+_HIT = _Hit()
+
+
 class _State(dict):
-    """A state of a scan automaton: its masks (present, blocked), and as
-    the dict, its stored steps from the letter appended to the next state
-    or _HIT."""
+    """A state of a scan automaton: its masks (present, blocked) and its
+    table, and as the dict, its stored steps from the letter appended to the
+    next state or _HIT.  A step not yet stored is computed by __missing__
+    and stored while the table has fewer than _SCAN_STEPS steps; past that
+    it is returned unstored.  A step is a pure function of the state and
+    the letter, so a stored step always equals the computed one, and
+    concurrent scans need no lock: a race can only store a step twice or
+    store a step or two past the cap."""
 
-    __slots__ = ("masks",)
+    __slots__ = ("masks", "table")
 
-    def __init__(self, masks: tuple[int, int]) -> None:
+    def __init__(self, masks: tuple[int, int], table: "_ScanTable") -> None:
         # the dict starts empty without dict.__init__
         self.masks = masks
+        self.table = table
+
+    def __missing__(self, v: int) -> dict:
+        table = self.table
+        full = table.steps >= _SCAN_STEPS
+        masks = _advance(*self.masks, v, table.terms)
+        if masks is None:
+            target: dict = _HIT
+        else:
+            target = table.states.get(masks)
+            if target is None:
+                target = _State(masks, table)
+                if not full:
+                    # one setdefault, so that concurrent scans store a state once
+                    target = table.states.setdefault(masks, target)
+        if not full:
+            self[v] = target
+            table.steps += 1
+        return target
 
 
 class _ScanTable:
-    """The scan automaton of one tuple of _BLOCKS terms.  A step is a pure
-    function of the state and the letter, so a stored step always equals
-    the computed one, and concurrent scans need no lock: a race can only
-    store a step twice or store a step or two past the cap."""
+    """The scan automaton of one tuple of _BLOCKS terms: its states by
+    masks, from the root, and the number of steps they store."""
 
     def __init__(self, terms: tuple[Term, ...]) -> None:
         self.terms = terms
-        self.root = _State((0, 0))
+        self.root = _State((0, 0), self)
         self.states = {self.root.masks: self.root}
         self.steps = 0
-
-    def step(self, state: _State, v: int) -> object:
-        """The step from state on the letter v (>= 1), stored in the table."""
-        masks = _advance(*state.masks, v, self.terms)
-        target: object = _HIT
-        if masks is not None:
-            target = self.states.get(masks)
-            if target is None:
-                # one setdefault, so that concurrent scans store a state once
-                target = self.states.setdefault(masks, _State(masks))
-        state[v] = target
-        self.steps += 1
-        return target
 
 
 _TABLES: dict[tuple[Term, ...], _ScanTable] = {}
@@ -426,26 +466,11 @@ _TABLES: dict[tuple[Term, ...], _ScanTable] = {}
 
 def _scan(letters: Letters, terms: tuple[Term, ...]) -> bool:
     """True iff some letter arrives blocked, i.e. the letters (all >= 1)
-    contain a pattern whose _BLOCKS term is among the terms given."""
+    contain a pattern whose _BLOCKS term is among the terms given: one
+    lookup per letter, from the root of the terms' automaton, in one C
+    loop."""
     table = _TABLES.get(terms) or _TABLES.setdefault(terms, _ScanTable(terms))
-    state = table.root
-    rest = iter(letters)
-    for v in rest:
-        target = state.get(v)
-        if target is None:
-            if table.steps >= _SCAN_STEPS:
-                # the table is full: finish on the masks, storing nothing
-                masks: tuple[int, int] | None = state.masks
-                for v in itertools.chain((v,), rest):
-                    masks = _advance(*masks, v, terms)
-                    if masks is None:
-                        return True
-                return False
-            target = table.step(state, v)
-        if target is _HIT:
-            return True
-        state = target
-    return False
+    return functools.reduce(operator.getitem, letters, table.root) is _HIT
 
 
 def find_occurrence(sigma: MultisetPermutation | Sequence[int],
@@ -460,10 +485,19 @@ def find_occurrence(sigma: MultisetPermutation | Sequence[int],
     it has an entry) and then the backtracking search, which locates the
     occurrence.  An automaton is built lazily, a step the first time a scan
     takes it, is shared by every scan with the same terms, and stores at
-    most _SCAN_STEPS steps.  The masks are as wide as the largest letter,
-    so a raw sequence is scanned by its letters' ranks."""
-    patterns = pi.patterns if isinstance(pi, PatternSet) else (pi,)
-    blocks = tuple([_BLOCKS.get(p.letters) for p in patterns])
+    most _SCAN_STEPS steps.  A PatternSet's terms are looked up the first
+    time it is scanned for and stored on it.  The masks are as wide as the
+    largest letter, so a raw sequence is scanned by its letters' ranks."""
+    if isinstance(pi, PatternSet):
+        patterns = pi.patterns
+        try:
+            blocks = pi._terms
+        except AttributeError:
+            blocks = tuple([_BLOCKS.get(p.letters) for p in patterns])
+            object.__setattr__(pi, "_terms", blocks)
+    else:
+        patterns = (pi,)
+        blocks = (_BLOCKS.get(pi.letters),)
     if isinstance(sigma, MultisetPermutation):
         letters = sigma.letters
     else:

@@ -26,7 +26,7 @@ import math
 from typing import Callable, Iterator, Sequence
 
 from .core import (_BLOCKS, MultisetPermutation, PatternSet, _advance, as_pattern_set,
-                   contains)
+                   contains, format_letters)
 from .errors import BudgetExceeded
 
 #: Largest permutation length materialized (generate/list).
@@ -153,9 +153,21 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
 
 def _list(n: int, mu: tuple[int, ...], patterns: PatternSet
           ) -> list[MultisetPermutation]:
+    """The permutations of {1^mu(1), ..., n^mu(n)} that avoid the patterns.
+    Each is checked by one sort and compare with the sorted letters of mu,
+    built once, and an AssertionError names one that fails."""
     _check_budget(sum(mu), LIST_LENGTH_BUDGET, patterns)
+    expected = [c for c, copies in enumerate(mu, 1) for _ in range(copies)]
     out: list[MultisetPermutation] = []
-    walk((0,) + mu, patterns, lambda prefix: out.append(MultisetPermutation(prefix)))
+    known = MultisetPermutation._known
+
+    def keep(prefix: tuple[int, ...]) -> None:
+        if sorted(prefix) != expected:
+            raise AssertionError(f"listed {format_letters(prefix)}, not a permutation "
+                                 f"of the multiset with multiplicities {mu}")
+        out.append(known(prefix))
+
+    walk((0,) + mu, patterns, keep)
     return out
 
 

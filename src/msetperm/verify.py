@@ -31,7 +31,7 @@ from . import bijections as bij
 from .classify import canonical_pair, classify_all_length3
 from .core import MultisetPermutation, PatternSet, left_to_right_minima
 from .enumeration import LIST_LENGTH_BUDGET, count_avoiders, list_avoiders
-from .errors import BudgetExceeded, MsetPermError
+from .errors import BudgetExceeded, MsetPermError, Unsupported
 from .formulas import (
     RECURRENCE_FAMILIES,
     REGISTRY,
@@ -123,6 +123,13 @@ def _grid(n_max: int, m_max: int, budget: int = _GRID_BUDGET):
                 yield n, m
 
 
+def _require_cells(n_max: int, m_max: int) -> None:
+    """Unsupported when the oracle grid 0 <= n <= n_max, 2 <= m <= m_max has
+    no cell: every check over it would pass on nothing."""
+    if n_max < 0 or m_max < 2:
+        raise Unsupported(f"the grid 0 <= n <= {n_max}, 2 <= m <= {m_max} has no cell")
+
+
 #: Counts quoted in the paper's text, checked wherever the grid reaches them.
 _QUOTED_VALUES = {(("122", "321"), 2, 3): 4, (("112", "122"), 3, 2): 5,
                   (("112", "122"), 4, 3): 8}
@@ -146,6 +153,7 @@ def _row_failures(entry, cells: Iterable[tuple[int, int]]) -> Iterator[str]:
 def verify_table1(n_max: int = 4, m_max: int = 3) -> list[CheckResult]:
     """Hard-check every proved-trust formula, and the recurrence and quoted
     counts of its row, against the oracle."""
+    _require_cells(n_max, m_max)
     results = []
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         if entry.trust != "proved-here":
@@ -161,6 +169,7 @@ def verify_table1(n_max: int = 4, m_max: int = 3) -> list[CheckResult]:
 def imported_agreement_report(n_max: int = 4, m_max: int = 3) -> list[AgreementRow]:
     """Per-cell agreement between quoted (imported/report-only) rows and the
     oracle.  Cells outside a row's stated validity get formula None."""
+    _require_cells(n_max, m_max)
     rows = []
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         if entry.trust == "proved-here" or not entry.is_servable():
@@ -211,6 +220,8 @@ def verify_gentree(n_max: int = 6, m_max: int = 3) -> list[CheckResult]:
     """Trees against the oracle, counts and labels, on the n*m <= 12 grid
     with n <= n_max and m <= m_max, and against the proved formulas to
     height 60 at m <= 5."""
+    _require_cells(n_max, m_max)
+
     def cells(tops: dict[int, int]) -> str:
         return f"{sum(top + 1 for top in tops.values())} cells"
 

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
+from msetperm import bijections
 from msetperm.bijections import (
     PAIR_112_122,
     PAIR_122_123,
@@ -164,6 +167,44 @@ class TestPaths:
         with pytest.raises(InvalidPath):
             LatticePath("RUR", 1)  # right length, but touches the boundary at (1,0)
 
+    def test_validation_and_labels_agree_with_the_step_by_step_walk(self):
+        # the runs of right-steps between up-steps against one Python step
+        # per character: the same acceptance and message on every {U, R}
+        # word of length <= 13, and the same labels on every path
+        def walk(steps, m):
+            ups, rights = steps.count("U"), steps.count("R")
+            if rights != 1 + m * ups:
+                return f"{ups} up-steps need exactly {1 + m * ups} right-steps", None
+            x = y = 0
+            labels = [1]
+            for k, ch in enumerate(steps):
+                if ch == "U":
+                    y += 1
+                    labels.append(m * y - x + 1)
+                else:
+                    x += 1
+                if x == m * y + 1 and k != len(steps) - 1:
+                    return f"path touches the boundary line at ({x},{y}) before the end", None
+            return None, tuple(labels)
+
+        paths = 0
+        for m in (1, 2, 3):
+            for length in range(14):
+                for word in itertools.product("UR", repeat=length):
+                    steps = "".join(word)
+                    message, labels = walk(steps, m)
+                    try:
+                        path = LatticePath(steps, m)
+                    except InvalidPath as exc:
+                        assert str(exc) == message, (steps, m)
+                        continue
+                    assert message is None, (steps, m)
+                    assert path_to_labels(path).values == labels, (steps, m)
+                    paths += 1
+        # the paths of every n whose length 1 + (m + 1) * n is at most 13
+        assert paths == sum(generalized_catalan(n, m) for m in (1, 2, 3)
+                            for n in range(13) if 1 + (m + 1) * n <= 13)
+
     def test_round_trip_exhaustive(self):
         for m in (1, 2, 3):
             for n in range(0, 6):
@@ -197,6 +238,15 @@ class TestMinimaMap:
 
     def test_fixed_point(self):
         assert str(simion_schmidt_f(P("2211"))) == "2211"
+
+    def test_an_image_on_another_multiset_is_refused(self, monkeypatch):
+        # free slots 3, 3, 2 refill 2211 as 2111: it avoids 122 and 123, and
+        # the constructor takes it, but it is not a permutation of 2211's
+        # letters
+        monkeypatch.setattr(bijections, "_free_slots", lambda sigma: [3, 3, 2])
+        assert MultisetPermutation((2, 1, 1, 1)).letters == (2, 1, 1, 1)
+        with pytest.raises(AssertionError, match="2111 is not a permutation of the letters of 2211"):
+            simion_schmidt_f(P("2211"))
 
     def test_domain_checked(self):
         with pytest.raises(NotInDomain):

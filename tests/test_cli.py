@@ -473,6 +473,17 @@ class TestOtherCommands:
             assert code == 2 and out == ""
             assert err.startswith("unsupported: the grid") and err.strip().endswith("has no cell")
 
+    def test_verify_refuses_a_scope_with_no_cell(self, capsys):
+        # with m <= 1 the oracle grid has no cell, and every check would
+        # pass on nothing
+        for argv in (("table1", "--mmax", "1"), ("table1", "--mmax", "0"),
+                     ("table1", "--mmax", "1", "--report"), ("gentree", "--mmax", "1"),
+                     ("table1", "--mmax", "1", "--records")):
+            code, out, err = run_cli(capsys, "verify", "--suite", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"unsupported: the grid 0 <= n <= {4 if argv[0] == 'table1' else 6}, " \
+                          f"2 <= m <= {argv[2]} has no cell\n"
+
     def test_classify_records(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--records")
         assert code == 0

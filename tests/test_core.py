@@ -513,6 +513,38 @@ class TestTypesAndParsing:
             with pytest.raises(InvalidPermutation):
                 MultisetPermutation.regular(letters, n, m)
 
+    def test_regular_agrees_with_the_constructor_and_slices(self):
+        # regular's sort-and-compare against [n]_m, and the definition it
+        # replaced (the constructor, then one sort and two slices): the same
+        # value, or the same error and message, on every word over {1..4}
+        # of length <= 6, for n, m in -2..4
+        accepted = 0
+        for length in range(7):
+            for letters in itertools.product(range(1, 5), repeat=length):
+                try:
+                    sigma, refused = MultisetPermutation(letters), None
+                except InvalidPermutation as exc:
+                    refused = (InvalidPermutation, str(exc))
+                s = sorted(letters)
+                for n, m in itertools.product(range(-2, 5), repeat=2):
+                    if refused:
+                        expected = refused
+                    elif len(s) != n * m or s and (s[-1] != n or s[::m] != s[m - 1::m]):
+                        expected = (InvalidPermutation,
+                                    f"{sigma} is not a permutation of [{n}]_{m}")
+                    else:
+                        expected = (MultisetPermutation, letters)
+                        accepted += 1
+                    try:
+                        actual = MultisetPermutation.regular(letters, n, m)
+                        actual = (type(actual), actual.letters)
+                    except Exception as exc:
+                        actual = (type(exc), str(exc))
+                    assert actual == expected, (letters, n, m)
+        # () at the 13 pairs with n * m = 0, and the 152 words of [n]_m
+        # with 1 <= n, m <= 4 and n * m <= 6
+        assert accepted == 13 + 152
+
     def test_generated_permutations_carry_their_multiset(self):
         sigmas = list(generate_all(3, (2, 1, 2)))
         assert len(sigmas) == 30

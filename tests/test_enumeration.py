@@ -188,6 +188,22 @@ def test_listing_reads_each_states_letters_once(monkeypatch):
     assert letters == sorted(set(letters))
 
 
+def test_listing_refuses_a_prefix_that_is_not_a_permutation(monkeypatch):
+    # each listed prefix is sorted and compared with the letters of mu: a
+    # walk that emits 1123 on [2]_2 (the right length and alphabet, the
+    # wrong copies) raises, where the constructor would take it
+    from msetperm import enumeration
+
+    def walk_with_a_bad_prefix(capacity, patterns, visit):
+        visit((1, 1, 2, 2))
+        visit((1, 1, 2, 3))
+        return 2
+
+    monkeypatch.setattr(enumeration, "walk", walk_with_a_bad_prefix)
+    with pytest.raises(AssertionError, match="listed 1123, not a permutation"):
+        list_avoiders(2, 2, PatternSet.of("123"))
+
+
 def test_pruned_listing_matches_naive_filtering():
     ps = PatternSet.of("122", "213")
     naive = naive_list(3, 2, [p.letters for p in ps])

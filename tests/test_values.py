@@ -95,7 +95,7 @@ CASES = [
 
 
 def _fields(x) -> tuple:
-    names = x._fields if isinstance(x, tuple) else x.__slots__
+    names = x._fields
     return tuple(getattr(x, name) for name in names)
 
 

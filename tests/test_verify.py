@@ -2,7 +2,7 @@ import pytest
 
 from msetperm import bijections, cli, verify
 from msetperm.core import MultisetPermutation
-from msetperm.errors import BudgetExceeded
+from msetperm.errors import BudgetExceeded, Unsupported
 from msetperm.verify import (
     imported_agreement_report,
     run_suite,
@@ -17,6 +17,15 @@ def test_table1_covers_all_proved_rows():
     names = {r.name for r in results if r.hard}
     assert names == {"(112,122)", "(122,123)", "(122,132)", "(211,213)",
                      "(122,213)", "(122,312)", "(122,321)"}
+
+
+def test_a_scope_with_no_cell_is_unsupported():
+    for suite in (verify_table1, imported_agreement_report, verify_gentree):
+        for n_max, m_max in ((3, 1), (3, 0), (-1, 3)):
+            with pytest.raises(Unsupported, match="has no cell"):
+                suite(n_max=n_max, m_max=m_max)
+    # n = 0 alone is a cell at every m
+    assert [r.detail for r in verify_table1(n_max=0, m_max=2)] == ["1 cells"] * 7
 
 
 def test_report_rows_match_known_disagreements():
@@ -74,6 +83,19 @@ def test_bijection_suite_lists_each_cell_once(monkeypatch):
     targets = [call for call in calls if call[2] == "{122,123}"]
     assert len(targets) == len(set(targets)) == 22
     assert len(calls) == len(set(calls))
+
+
+def test_bijection_suite_makes_every_check(monkeypatch):
+    # one pass scans 12,400 permutations for their pair and makes 51
+    # listings: a faster check must not be a dropped one
+    scans, listings = [], []
+    find_occurrence, list_avoiders = bijections.find_occurrence, verify.list_avoiders
+    monkeypatch.setattr(bijections, "find_occurrence", lambda sigma, patterns:
+                        scans.append(1) or find_occurrence(sigma, patterns))
+    monkeypatch.setattr(verify, "list_avoiders", lambda n, m, patterns:
+                        listings.append(1) or list_avoiders(n, m, patterns))
+    assert all(r.ok for r in verify_bijections())
+    assert (len(scans), len(listings)) == (12_400, 51)
 
 
 # -- a fault raised inside a check is that check's failure ---------------------
