@@ -260,7 +260,7 @@ def as_pattern(spec: Pattern | str | Sequence[int]) -> Pattern:
 
 
 class PatternSet(_Value):
-    """A deduplicated set of patterns in canonical sort order.  find_occurrence
+    """A deduplicated set of patterns in canonical sort order.  _set_terms
     stores the patterns' _BLOCKS terms in _terms on first use."""
 
     __slots__ = ("patterns", "_terms")
@@ -293,10 +293,26 @@ class PatternSet(_Value):
 
 
 def as_pattern_set(patterns: PatternSet | Iterable) -> PatternSet:
-    """A PatternSet as given, else the set of patterns read by as_pattern."""
+    """A PatternSet as given, else the set of patterns read by as_pattern.
+    A hashable tuple of specs, such as ("122", "213"), is read once and then
+    served from a bounded cache, so that a sweep over many cells reads each
+    pair once; other specs, such as lists of letters, are read on each call.
+    An invalid spec raises on every call: the cache stores no errors."""
     if isinstance(patterns, PatternSet):
         return patterns
+    if isinstance(patterns, tuple):
+        try:
+            hash(patterns)
+        except TypeError:
+            pass
+        else:
+            return _read_pattern_set(patterns)
     return PatternSet.of(*patterns)
+
+
+@functools.lru_cache(maxsize=256)
+def _read_pattern_set(specs: tuple) -> PatternSet:
+    return PatternSet.of(*specs)
 
 
 # -- containment ---------------------------------------------------------------
@@ -335,6 +351,19 @@ _BLOCKS: dict[tuple[int, ...], Term] = {
     (2, 1): lambda bit, lower, upper, again: bit - 1,
     (1, 1): lambda bit, lower, upper, again: bit,
 }
+
+
+def _set_terms(patterns: PatternSet) -> tuple[Term | None, ...]:
+    """The patterns' _BLOCKS terms in set order, None for a pattern without
+    one: looked up the first time they are asked for and stored in the set's
+    _terms slot, so the containment scan and the transfers look them up once
+    per set."""
+    try:
+        return patterns._terms
+    except AttributeError:
+        terms = tuple([_BLOCKS.get(p.letters) for p in patterns.patterns])
+        object.__setattr__(patterns, "_terms", terms)
+        return terms
 
 
 def _occurrence_general(letters: Letters, pat: Letters) -> tuple[int, ...] | None:
@@ -485,16 +514,12 @@ def find_occurrence(sigma: MultisetPermutation | Sequence[int],
     it has an entry) and then the backtracking search, which locates the
     occurrence.  An automaton is built lazily, a step the first time a scan
     takes it, is shared by every scan with the same terms, and stores at
-    most _SCAN_STEPS steps.  A PatternSet's terms are looked up the first
-    time it is scanned for and stored on it.  The masks are as wide as the
-    largest letter, so a raw sequence is scanned by its letters' ranks."""
+    most _SCAN_STEPS steps.  A PatternSet's terms are looked up once per
+    set (_set_terms).  The masks are as wide as the largest letter, so a
+    raw sequence is scanned by its letters' ranks."""
     if isinstance(pi, PatternSet):
         patterns = pi.patterns
-        try:
-            blocks = pi._terms
-        except AttributeError:
-            blocks = tuple([_BLOCKS.get(p.letters) for p in patterns])
-            object.__setattr__(pi, "_terms", blocks)
+        blocks = _set_terms(pi)
     else:
         patterns = (pi,)
         blocks = (_BLOCKS.get(pi.letters),)

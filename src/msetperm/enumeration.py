@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, Sequence
 
-from .core import (_BLOCKS, MultisetPermutation, PatternSet, _advance, as_pattern_set,
+from .core import (MultisetPermutation, PatternSet, _advance, _set_terms, as_pattern_set,
                    contains, format_letters)
 from .errors import BudgetExceeded
 
@@ -64,9 +64,9 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
     prefix is reached.  The terms read the letter, the letters seen (those
     with fewer copies left than their capacity) and whether it was seen
     before, so the allowed letters depend only on the state.  Counting maps
-    each state to the number of prefixes that reach it, and stops one level
-    short: a live state with one letter left has exactly one completion.
-    The state does not canonicalize under symmetry.
+    each state to the number of prefixes that reach it, keeps no steps, and
+    stops one level short: a live state with one letter left has exactly
+    one completion.  The state does not canonicalize under symmetry.
 
     Listing runs the same transfer to the last level, recording each
     state's allowed letters once, then extends the prefixes by their
@@ -87,8 +87,9 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
     order.  Its return value is ignored.
     """
     depth = sum(capacity)
-    terms = [_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS]
-    slow = [p for p in patterns if p.letters not in _BLOCKS]
+    blocks = _set_terms(patterns)
+    terms = [term for term in blocks if term is not None]
+    slow = [p for p, term in zip(patterns, blocks) if term is None]
     counting = visit is None and not slow
     letters = range(1, len(capacity))
     steps: dict[tuple, list[tuple[int, tuple]]] = {}
@@ -103,7 +104,8 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
                     left |= 1 << c
                 if remaining[c] < capacity[c]:
                     present |= 1 << c
-            steps[remaining] = allowed = []
+            if not counting:
+                steps[remaining] = allowed = []
             work = list(remaining)
             for c in letters:
                 copies = remaining[c]
@@ -119,7 +121,8 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
                         child = tuple(work)
                         work[c] = copies
                         following[child] = get(child, 0) + ways
-                        allowed.append((c, child))
+                        if not counting:
+                            allowed.append((c, child))
         level = following
     if counting:
         return sum(level.values())
@@ -151,8 +154,7 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
     return total
 
 
-def _list(n: int, mu: tuple[int, ...], patterns: PatternSet
-          ) -> list[MultisetPermutation]:
+def _list(mu: tuple[int, ...], patterns: PatternSet) -> list[MultisetPermutation]:
     """The permutations of {1^mu(1), ..., n^mu(n)} that avoid the patterns.
     Each is checked by one sort and compare with the sorted letters of mu,
     built once, and an AssertionError names one that fails."""
@@ -179,7 +181,7 @@ def generate_all(n: int, mu: Sequence[int]) -> Iterator[MultisetPermutation]:
     mu = tuple(mu)
     if n < 0 or len(mu) != n or any(m < 1 for m in mu):
         raise ValueError("need n >= 0 and a positive multiplicity for each letter")
-    return iter(_list(n, mu, PatternSet(())))
+    return iter(_list(mu, PatternSet(())))
 
 
 def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence) -> int:
@@ -200,7 +202,7 @@ def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence
     patterns = as_pattern_set(patterns)
     if n < 0 or (n > 0 and m < 1):
         raise ValueError("need n >= 0 and m >= 1")
-    return _list(n, (m,) * n, patterns)
+    return _list((m,) * n, patterns)
 
 
 def word_counts_by_length(n: int, max_length: int,
@@ -221,8 +223,9 @@ def word_counts_by_length(n: int, max_length: int,
     if any(len(p.letters) > 3 for p in patterns) and n ** max_length > PLAIN_WORD_BUDGET:
         raise BudgetExceeded(f"{n ** max_length} words of length {max_length} exceed "
                              f"the budget of {PLAIN_WORD_BUDGET}")
-    terms = tuple(_BLOCKS[p.letters] for p in patterns if p.letters in _BLOCKS)
-    slow = [p for p in patterns if p.letters not in _BLOCKS]
+    blocks = _set_terms(patterns)
+    terms = tuple([term for term in blocks if term is not None])
+    slow = [p for p, term in zip(patterns, blocks) if term is None]
     reads_present = any(len(p.letters) == 3 for p in patterns)
     letters = (1 << n + 1) - 2
     steps: dict[tuple, list[tuple]] = {}

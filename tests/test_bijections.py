@@ -125,9 +125,16 @@ class TestLabels:
 
 
 def _labels_by_definition(sigma: MultisetPermutation) -> tuple[int, ...]:
-    """The first ascent of the restriction of sigma to [k], for k = 0..n."""
-    return tuple(first_ascent([v for v in sigma.letters if v <= k])
-                 for k in range(sigma.alphabet_size + 1))
+    """The first ascent of the restriction of sigma to [k], for k = 0..n.
+    The restrictions are made for k descending, each from the next larger
+    one by removing the copies of k + 1 in place."""
+    restriction = list(sigma.letters)
+    labels = []
+    for k in range(sigma.alphabet_size, -1, -1):
+        labels.append(first_ascent(restriction))
+        for _ in range(restriction.count(k)):
+            restriction.remove(k)
+    return tuple(labels[::-1])
 
 
 class TestLabelsInOnePass:

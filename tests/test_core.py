@@ -27,7 +27,7 @@ from msetperm.core import (
     normalize_pattern,
     symmetry,
 )
-from msetperm.enumeration import generate_all, list_avoiders
+from msetperm.enumeration import count_avoiders, generate_all, list_avoiders
 from msetperm.errors import (
     InvalidPattern,
     InvalidPermutation,
@@ -386,6 +386,44 @@ class TestScanAutomaton:
             assert find_occurrence((1, 2), Pattern.parse("21")) is None
             assert find_occurrence((2, 1), Pattern.parse("12")) is None
             assert find_occurrence((2, 1), Pattern.parse("21")) == (1, 2)
+
+
+class TestPatternSetInput:
+    def test_every_spec_form_reads_as_the_same_set(self):
+        expected = PatternSet.of("122", "213")
+        assert core.as_pattern_set(expected) is expected
+        for specs in (("122", "213"), ("213", "233", "122"), ((1, 2, 2), (2, 1, 3)),
+                      ([1, 2, 2], [2, 1, 3]), [[1, 2, 2], [2, 1, 3]], ["122", "213"],
+                      (Pattern.parse("122"), "546")):
+            assert core.as_pattern_set(specs) == expected, specs
+
+    def test_a_hashable_tuple_is_read_once(self, monkeypatch):
+        # the 17 cells of the n*m <= 12 grid with 2 <= m <= 6 count one
+        # string pair; each of its two strings is parsed once, not once a cell
+        parses = []
+        parse = core.Pattern.parse.__func__
+        monkeypatch.setattr(core.Pattern, "parse", classmethod(
+            lambda cls, text: parses.append(text) or parse(cls, text)))
+        core._read_pattern_set.cache_clear()
+        cells = [(n, m) for m in range(2, 7) for n in range(1, 12 // m + 1)]
+        assert len(cells) == 17
+        for n, m in cells:
+            count_avoiders(n, m, ("122", "213"))
+        assert sorted(parses) == ["122", "213"]
+        # a list is not hashable, so it is read on each call
+        for n, m in cells[:3]:
+            count_avoiders(n, m, ["122", "213"])
+        assert len(parses) == 2 + 3 * 2
+        assert core._read_pattern_set.cache_info().maxsize is not None
+
+    def test_a_bad_spec_raises_on_every_call(self):
+        core._read_pattern_set.cache_clear()
+        for specs in (("122", "1x2"), ("122", "()"), ("122", (0, 1))):
+            for _ in range(2):
+                with pytest.raises(InvalidPattern):
+                    core.as_pattern_set(specs)
+                with pytest.raises(InvalidPattern):
+                    count_avoiders(2, 2, specs)
 
 
 class TestSymmetry:

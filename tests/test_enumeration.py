@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from msetperm.enumeration import (
     word_counts_by_length,
 )
 from msetperm.errors import BudgetExceeded
+from msetperm.growth import growth_table
 
 from reference import (
     all_multiset_perms,
@@ -430,6 +432,33 @@ def test_word_states_with_masks_and_a_word_match_naive_reference(specs):
     for n in range(4):
         assert word_counts_by_length(n, 6, ps) == \
             [naive_word_count(n, length, raw) for length in range(7)], f"{ps} at n={n}"
+
+
+def test_every_spec_form_gives_the_same_counts_listings_and_word_counts():
+    # a tuple of strings takes the cached reading; a PatternSet passes
+    # through; lists of letters are read on each call
+    for pair in (("122", "213"), ("121", "132"), ("111", "1234")):
+        forms = (pair, PatternSet.of(*pair), [list(map(int, p)) for p in pair],
+                 tuple(list(map(int, p)) for p in pair))
+        for n, m in ((0, 1), (3, 1), (3, 2), (2, 3)):
+            assert len({count_avoiders(n, m, ps) for ps in forms}) == 1, (pair, n, m)
+            assert len({tuple(list_avoiders(n, m, ps)) for ps in forms}) == 1, (pair, n, m)
+        assert len({tuple(word_counts_by_length(3, 5, ps)) for ps in forms}) == 1, pair
+        rows = {tuple(growth_table(ps, [(2, 2), (3, 2)])) for ps in forms}
+        assert len(rows) == 1, pair
+
+
+def test_counting_keeps_no_listing_steps():
+    # the counting transfer holds two levels of (state, count) and nothing
+    # per state besides: counting {121,132} on [6]_3 (7,084 avoiders) peaks
+    # at about 0.15 MB; storing each state's allowed letters too takes 1.2 MB
+    tracemalloc.start()
+    try:
+        assert count_avoiders(6, 3, ("121", "132")) == 7084
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
 
 
 def test_counting_never_calls_the_containment_check(monkeypatch):
