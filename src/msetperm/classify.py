@@ -11,32 +11,30 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .core import _Value, LENGTH3_PATTERNS, Pattern, PatternSet, as_pattern
+from .core import _Value, LENGTH3_PATTERNS, PatternSet, as_pattern_set
 from .enumeration import COUNT_LENGTH_BUDGET, count_avoiders
 from .errors import BudgetExceeded, Unsupported
 
-Pair = tuple[Pattern, Pattern]
 
-
-def _as_pair(pair) -> Pair:
-    pats = [as_pattern(p) for p in pair]
-    if len(pats) != 2 or pats[0] == pats[1]:
+def _as_pair(pair) -> PatternSet:
+    patterns = as_pattern_set(pair)
+    if len(patterns) != 2:
         raise ValueError("expected exactly two distinct patterns")
-    return tuple(sorted(pats))
+    return patterns
 
 
 class PatternPairClass(_Value):
-    """One orbit of an unordered pattern pair under reverse/complement."""
+    """One orbit of a two-pattern PatternSet under reverse/complement."""
 
     __slots__ = ("members",)
-    members: tuple[Pair, ...]
+    members: tuple[PatternSet, ...]
 
-    def __init__(self, members: tuple[Pair, ...]) -> None:
+    def __init__(self, members: tuple[PatternSet, ...]) -> None:
         assert 4 % len(members) == 0
         object.__setattr__(self, "members", members)
 
     @property
-    def representative(self) -> Pair:
+    def representative(self) -> PatternSet:
         return min(self.members)
 
     def __contains__(self, pair) -> bool:
@@ -47,37 +45,23 @@ class PatternPairClass(_Value):
         return f"({a},{b})[x{len(self.members)}]"
 
 
-_SYMMETRIES = (
-    lambda p: p,
-    lambda p: p.reverse(),
-    lambda p: p.complement(),
-    lambda p: p.reverse().complement(),
-)
-
-
 def symmetry_closure(pair) -> PatternPairClass:
     """Orbit of an unordered pair under simultaneous reverse/complement."""
-    a, b = _as_pair(pair)
-    members = set()
-    for f in _SYMMETRIES:
-        fa, fb = f(a), f(b)
-        members.add((fa, fb) if fa < fb else (fb, fa))
+    pair = _as_pair(pair)
+    reverse = pair.reverse()
+    members = {pair, reverse, pair.complement(), reverse.complement()}
     return PatternPairClass(tuple(sorted(members)))
 
 
-def canonical_pair(pair) -> Pair:
-    """Deterministic representative: the lexicographically least orbit member.
-    A pair already normalized, such as a representative, is looked up as it
-    is."""
-    if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is Pattern
-            and type(pair[1]) is Pattern and pair[0] < pair[1]):
-        pair = _as_pair(pair)
-    return _orbit_representative(pair)
+def canonical_pair(pair) -> PatternSet:
+    """Deterministic representative: the lexicographically least orbit member,
+    a two-pattern PatternSet, whatever shape the pair is given in."""
+    return _orbit_representative(_as_pair(pair))
 
 
 @functools.cache
-def _orbit_representative(pair: Pair) -> Pair:
-    # keyed on the normalized pair, so every input shape shares one entry
+def _orbit_representative(pair: PatternSet) -> PatternSet:
+    # keyed on the pair read as a set, so every input shape shares one entry
     return symmetry_closure(pair).representative
 
 
@@ -90,17 +74,16 @@ def classify_all_length3() -> tuple[PatternPairClass, ...]:
     gives 21 classes over the 66 pairs; a Burnside count
     (66 + 6 + 6 + 6) / 4 confirms it.
     """
-    seen: dict[Pair, PatternPairClass] = {}
-    for a, b in itertools.combinations(LENGTH3_PATTERNS, 2):
-        cls = symmetry_closure((a, b))
+    seen: dict[PatternSet, PatternPairClass] = {}
+    for pair in itertools.combinations(LENGTH3_PATTERNS, 2):
+        cls = symmetry_closure(pair)
         seen.setdefault(cls.representative, cls)
     return tuple(sorted(seen.values(), key=lambda c: c.representative))
 
 
 def count_vector(pair, n_max: int, m_max: int) -> tuple[int, ...]:
     """Avoider counts over the (n, m) grid, row-major in n then m."""
-    a, b = _as_pair(pair)
-    patterns = PatternSet((a, b))
+    patterns = _as_pair(pair)
     out = []
     for n in range(1, n_max + 1):
         for m in range(2, m_max + 1):

@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
                 mark, formula = "n/a", "-"
             else:
                 mark, formula = ("ok" if row.agree else "DISAGREES"), row.formula
-            print(f"  report ({row.table_pair[0]},{row.table_pair[1]}) "
+            print(f"  report ({','.join(row.table_pair)}) "
                   f"n={row.n} m={row.m}: table {formula}, oracle {row.oracle} "
                   f"[{mark}]")
     hard_failures = [r for r in results if r.hard and not r.ok]
@@ -251,22 +251,26 @@ def cmd_classify(args) -> int:
     if args.empirical:
         print(f"empirical grouping on the grid: {len(groups)} groups")
         for group in groups:
-            names = " ".join(f"({c.representative[0]},{c.representative[1]})"
-                             for c in group)
+            names = " ".join("({},{})".format(*c.representative) for c in group)
             print(f"  {names}")
     return 0
 
 
 def cmd_table(args) -> int:
     if args.catalog:
-        _emit(catalog(), ["pair", "table_pair", "trust", "validity",
-                          "servable", "provenance", "note"], args)
+        records = catalog()
+        if not args.records:
+            # a pair reads 111,112 here, as in classify; JSON keeps the lists
+            for rec in records:
+                rec["pair"] = ",".join(rec["pair"])
+                rec["table_pair"] = ",".join(rec["table_pair"])
+        _emit(records, ["pair", "table_pair", "trust", "validity",
+                        "servable", "provenance", "note"], args)
         return 0
     cells = [(n, m) for m in range(2, args.mmax + 1) for n in range(1, args.nmax + 1)]
     records = []
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
-        row = {"pair": f"{entry.table_pair[0]},{entry.table_pair[1]}",
-               "trust": entry.trust}
+        row = {"pair": ",".join(entry.table_pair), "trust": entry.trust}
         for n, m in cells:
             row[f"n{n}m{m}"] = entry.evaluator(n, m) if entry.validity(n, m) else "-"
         records.append(row)

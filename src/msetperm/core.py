@@ -288,6 +288,9 @@ class PatternSet(_Value):
     def __contains__(self, p: Pattern) -> bool:
         return p in self.patterns
 
+    def __lt__(self, other: "PatternSet") -> bool:
+        return self.patterns < other.patterns
+
     def __str__(self) -> str:
         return "{" + ",".join(str(p) for p in self.patterns) + "}"
 
@@ -538,9 +541,11 @@ def find_occurrence(sigma: MultisetPermutation | Sequence[int],
     return None
 
 
-def contains(sigma: MultisetPermutation | Sequence[int], pi: Pattern) -> bool:
+def contains(sigma: MultisetPermutation | Sequence[int], pi: Pattern | PatternSet) -> bool:
     """True iff sigma has a subsequence order-isomorphic to pi (equalities
-    in the pattern must be realized by equal letters)."""
+    in the pattern must be realized by equal letters).  pi may also be a
+    PatternSet, which find_occurrence takes too: then True iff sigma
+    contains one of its patterns."""
     return find_occurrence(sigma, pi) is not None
 
 

@@ -18,7 +18,7 @@ class UnsupportedSymmetry(MsetPermError):
 
 
 class BudgetExceeded(MsetPermError):
-    """Enumeration length budget exceeded without an explicit override."""
+    """Raised when one of enumeration's length or word budgets is exceeded."""
 
 
 class Unsupported(MsetPermError):

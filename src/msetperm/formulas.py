@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .classify import Pair, canonical_pair
+from .classify import canonical_pair
+from .core import PatternSet
 from .errors import ArithmeticBug, OutOfDomain, Unsupported
 
 BigCount = int
@@ -77,7 +78,7 @@ _REP_122_213 = canonical_pair(("122", "213"))
 RECURRENCE_FAMILIES = (_REP_211_213, _REP_122_213)
 
 
-def _family(pair) -> Pair:
+def _family(pair) -> PatternSet:
     """The representative of the Fibonacci-like family that pair belongs to."""
     if pair in RECURRENCE_FAMILIES:
         # the representative itself, as the registry's evaluators pass it
@@ -85,7 +86,7 @@ def _family(pair) -> Pair:
     rep = canonical_pair(pair)
     if rep in RECURRENCE_FAMILIES:
         return rep
-    raise Unsupported(f"no two-term recurrence is catalogued for {rep[0]},{rep[1]}")
+    raise Unsupported("no two-term recurrence is catalogued for {},{}".format(*rep))
 
 
 def recurrence_terms(pair, n: int, m: int) -> Iterator[BigCount]:
@@ -167,7 +168,7 @@ class FormulaEntry(NamedTuple):
     one has no domain.
     """
 
-    pair: Pair
+    pair: PatternSet
     table_pair: tuple[str, str]
     provenance: str
     trust: str
@@ -183,7 +184,7 @@ class FormulaEntry(NamedTuple):
 
     @property
     def name(self) -> str:
-        return f"({self.table_pair[0]},{self.table_pair[1]})"
+        return f"({','.join(self.table_pair)})"
 
     @property
     def validity_text(self) -> str:
@@ -307,7 +308,7 @@ for _other in ("123", "132", "112", "121"):
         "111", _other, "shortcut for pairs containing the triple repeat",
         "report-only", lambda n, m: catalan(n) if m == 2 else 0, note=_NOTE_111))
 
-REGISTRY: Mapping[Pair, FormulaEntry] = {e.pair: e for e in _ENTRIES}
+REGISTRY: Mapping[PatternSet, FormulaEntry] = {e.pair: e for e in _ENTRIES}
 
 assert len(REGISTRY) == len(_ENTRIES), "registry keys must be distinct"
 
@@ -320,7 +321,7 @@ _M1_BINOM = canonical_pair(("123", "231"))
 _M1_CROSS = canonical_pair(("123", "321"))
 
 
-def _ordinary_pair_count(rep: Pair, n: int) -> BigCount:
+def _ordinary_pair_count(rep: PatternSet, n: int) -> BigCount:
     """Classical counts for ordinary permutations avoiding two length-3
     patterns, by canonical pair; oracle-verified in the test suite."""
     if rep in _M1_POWERS:
@@ -329,10 +330,10 @@ def _ordinary_pair_count(rep: Pair, n: int) -> BigCount:
         return math.comb(n, 2) + 1
     if rep == _M1_CROSS:
         return (1, 1, 2, 4, 4)[n] if n <= 4 else 0
-    raise Unsupported(f"no classical pair count catalogued for {rep[0]},{rep[1]}")
+    raise Unsupported("no classical pair count catalogued for {},{}".format(*rep))
 
 
-def _m1_count(rep: Pair, n: int) -> BigCount:
+def _m1_count(rep: PatternSet, n: int) -> BigCount:
     # Patterns with repeated letters are never contained in an ordinary
     # permutation, so they drop out of the pair.
     ordinary = tuple(p for p in rep if p.is_ordinary)
@@ -358,8 +359,7 @@ def _serve(pair, n: int, m: int, proved_only: bool) -> BigCount:
         return _m1_count(rep, n)
     entry = REGISTRY.get(rep)
     if entry is None:
-        raise Unsupported(
-            f"no catalogued formula for the class of ({rep[0]},{rep[1]})")
+        raise Unsupported("no catalogued formula for the class of ({},{})".format(*rep))
     if entry.evaluator is None:
         raise Unsupported(f"{entry.name}: {entry.note}")
     if not entry.validity(n, m):
@@ -396,7 +396,7 @@ def catalog() -> list[dict]:
     rows = []
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         rows.append({
-            "pair": [str(entry.pair[0]), str(entry.pair[1])],
+            "pair": [str(p) for p in entry.pair],
             "table_pair": list(entry.table_pair),
             "provenance": entry.provenance,
             "trust": entry.trust,

@@ -42,7 +42,7 @@ def _best_count(patterns: PatternSet, n: int, m: int) -> int:
         return stirling_count(n, m)
     if len(patterns) == 2:
         try:
-            return proved_count(tuple(patterns), n, m)
+            return proved_count(patterns, n, m)
         except (Unsupported, OutOfDomain):
             pass
     return count_avoiders(n, m, patterns)

@@ -138,9 +138,8 @@ _QUOTED_VALUES = {(("122", "321"), 2, 3): 4, (("112", "122"), 3, 2): 5,
 # -- table of counting families ---------------------------------------------------
 
 def _row_failures(entry, cells: Iterable[tuple[int, int]]) -> Iterator[str]:
-    patterns = PatternSet(entry.pair)
     for n, m in cells:
-        oracle = count_avoiders(n, m, patterns)
+        oracle = count_avoiders(n, m, entry.pair)
         claims = {"formula": closed_count(entry.pair, n, m),
                   "quoted": _QUOTED_VALUES.get((entry.table_pair, n, m))}
         if n and entry.pair in RECURRENCE_FAMILIES:
@@ -174,10 +173,9 @@ def imported_agreement_report(n_max: int = 4, m_max: int = 3) -> list[AgreementR
     for entry in sorted(REGISTRY.values(), key=lambda e: e.pair):
         if entry.trust == "proved-here" or not entry.is_servable():
             continue
-        patterns = PatternSet(entry.pair)
         for n, m in _grid(n_max, m_max):
             formula = entry.evaluator(n, m) if entry.validity(n, m) else None
-            oracle = count_avoiders(n, m, patterns)
+            oracle = count_avoiders(n, m, entry.pair)
             rows.append(AgreementRow(entry.table_pair, entry.trust, n, m,
                                      formula, oracle))
     return rows
@@ -256,7 +254,7 @@ def verify_gentree(n_max: int = 6, m_max: int = 3) -> list[CheckResult]:
     # explicit forms match the recurrences they solve
     results.append(_check(
         "gentree", "explicit-vs-recurrence",
-        (f"explicit != recurrence at pair=({rep[0]},{rep[1]}), n={n}, m={m}"
+        ("explicit != recurrence at pair=({},{}), n={}, m={}".format(*rep, n, m)
          for rep in RECURRENCE_FAMILIES
          for m in range(2, 7)
          for n, recurred in enumerate(recurrence_terms(rep, 200, m), 1)
@@ -401,7 +399,7 @@ def _class_failures(classes) -> Iterator[str]:
     cells = list(_grid(_CLASS_BUDGET, _CLASS_BUDGET, _CLASS_BUDGET))
     for cls in classes:
         vectors = (tuple(count_avoiders(n, m, patterns) for n, m in cells)
-                   for patterns in map(PatternSet, cls.members))
+                   for patterns in cls.members)
         base = next(vectors)
         if any(vec != base for vec in vectors):
             yield f"counts differ inside class {cls}"

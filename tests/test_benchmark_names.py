@@ -7,9 +7,11 @@ the names are checked here."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import msetperm
+from msetperm.classify import canonical_pair, classify_all_length3
 from msetperm.core import Pattern
 from msetperm.formulas import REGISTRY
 from msetperm.gentree import RULE_PATTERN_PAIRS
@@ -19,6 +21,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 MAKE_TRUTH = PERFBENCH / "make_truth.py"
+TRUTH = PERFBENCH / "truth.json"
 
 
 def _traced() -> tuple[tuple[str, str], ...]:
@@ -115,3 +118,19 @@ def test_make_truth_reads_the_rule_and_formula_tables():
             assert isinstance(text, str) and str(Pattern.parse(text)) == text, (name, text)
     for entry in REGISTRY.values():
         assert isinstance(entry.validity(2, 2), bool), entry.table_pair
+
+
+def test_make_truth_would_write_the_same_class_rows():
+    # the 21 class rows rebuilt as make_truth.py builds them, against the
+    # checked-in table, which is only read
+    rows = []
+    for cls in classify_all_length3():
+        rep = canonical_pair(cls.representative)
+        entry = REGISTRY.get(rep)
+        rule = next((name for name, pair in RULE_PATTERN_PAIRS.items()
+                     if canonical_pair(pair) == rep), None)
+        rows.append({"members": [f"{a},{b}" for a, b in cls.members],
+                     "trust": entry.trust if entry else None,
+                     "rule": rule})
+    assert len(rows) == 21
+    assert rows == json.loads(TRUTH.read_text())["classes"][:21]

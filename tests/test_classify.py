@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from msetperm.classify import (
@@ -7,7 +9,7 @@ from msetperm.classify import (
     empirical_wilf_classes,
     symmetry_closure,
 )
-from msetperm.core import Pattern, PatternSet
+from msetperm.core import PatternSet
 from msetperm.enumeration import count_avoiders
 from msetperm.errors import BudgetExceeded, Unsupported
 
@@ -21,12 +23,32 @@ def _pairs(cls):
     return {(str(a), str(b)) for a, b in cls.members}
 
 
+#: The twelve length-3 patterns over at least two values, and 111.
+PATTERNS_WITH_111 = ("123", "132", "213", "231", "312", "321",
+                     "112", "121", "211", "122", "212", "221", "111")
+
+
+def _letter_orbit(a, b):
+    """The orbit of the pair {a, b} of letter tuples under {id, r, c, rc},
+    as frozensets of letter tuples: built on the letters alone, apart from
+    the reverse and complement of Pattern and PatternSet."""
+    def reverse(w):
+        return w[::-1]
+
+    def complement(w):
+        k = max(w)
+        return tuple(k + 1 - v for v in w)
+
+    return {frozenset(map(f, (a, b)))
+            for f in (lambda w: w, reverse, complement, lambda w: complement(reverse(w)))}
+
+
 class TestClosure:
     def test_four_member_orbit(self):
         cls = symmetry_closure(("122", "123"))
         assert _pairs(cls) == {("112", "123"), ("122", "123"),
                                ("211", "321"), ("221", "321")}
-        assert cls.representative == (Pattern.parse("112"), Pattern.parse("123"))
+        assert cls.representative == PatternSet.of("112", "123")
 
     def test_singleton_orbit(self):
         cls = symmetry_closure(("212", "121"))
@@ -35,6 +57,19 @@ class TestClosure:
     def test_triple_repeat_orbit(self):
         cls = symmetry_closure(("111", "123"))
         assert _pairs(cls) == {("111", "123"), ("111", "321")}
+
+    def test_orbits_match_an_orbit_built_on_letters(self):
+        pairs = list(itertools.combinations(PATTERNS_WITH_111, 2))
+        assert len(pairs) == 78
+        for pair in pairs:
+            orbit = _letter_orbit(*(tuple(map(int, text)) for text in pair))
+            members = symmetry_closure(pair).members
+            assert {frozenset(p.letters for p in s) for s in members} == orbit, pair
+            assert len(members) == len(orbit) and list(members) == sorted(members)
+            least = min(tuple(sorted(s)) for s in orbit)
+            rep = canonical_pair(pair)
+            assert type(rep) is PatternSet, pair
+            assert tuple(p.letters for p in rep) == least, pair
 
     def test_closure_size_divides_four(self):
         for cls in classify_all_length3():
@@ -46,10 +81,12 @@ class TestClosure:
             assert canonical_pair(member) == rep
 
     def test_canonical_pair_ignores_the_input_shape(self):
-        rep = canonical_pair(("122", "213"))
-        assert canonical_pair(["122", "213"]) == rep
-        assert canonical_pair([[2, 1, 3], [1, 2, 2]]) == rep
-        assert canonical_pair(PatternSet.of("213", "122")) == rep
+        rep = canonical_pair(("213", "122"))
+        assert rep == PatternSet.of("112", "132") and str(rep) == "{112,132}"
+        for shape in (["122", "213"], [[2, 1, 3], [1, 2, 2]],
+                      PatternSet.of("213", "122"), rep):
+            assert type(canonical_pair(shape)) is PatternSet
+            assert canonical_pair(shape) == rep
         # letters are reduced, as every pattern reader does: 275 reads as 132
         assert canonical_pair([(2, 7, 5), (1, 2, 3)]) == canonical_pair(("132", "123"))
 
@@ -99,8 +136,7 @@ class TestClassification:
 
 
 def pair_in(cls, pair):
-    return (Pattern.parse(pair[0]), Pattern.parse(pair[1])) in cls.members or \
-           (Pattern.parse(pair[1]), Pattern.parse(pair[0])) in cls.members
+    return PatternSet.of(*pair) in cls.members
 
 
 class TestCounts:

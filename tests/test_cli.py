@@ -514,6 +514,28 @@ class TestOtherCommands:
         assert any(r["trust"] == "proved-here" for r in rows)
         assert any(not r["servable"] for r in rows)
 
+    def test_table_catalog_prints_pairs_as_classify_does(self, capsys):
+        # the table and CSV columns read 111,112; the JSON records keep lists
+        import csv as csvmod
+        import io
+        code, out, _ = run_cli(capsys, "table", "--catalog", "--csv")
+        assert code == 0
+        rows = list(csvmod.DictReader(io.StringIO(out)))
+        assert len(rows) == len(formulas.REGISTRY)
+        assert (rows[0]["pair"], rows[0]["table_pair"]) == ("111,112", "111,112")
+        # a quoted row keeps its table's pair beside the canonical one
+        assert {"pair": "112,123", "table_pair": "122,123"}.items() <= \
+            next(r for r in rows if r["table_pair"] == "122,123").items()
+        code, out, _ = run_cli(capsys, "table", "--catalog")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split()[:2] == ["pair", "table_pair"]
+        assert [line.split()[:2] for line in lines[1:]] == \
+            [[r["pair"], r["table_pair"]] for r in rows]
+        code, out, _ = run_cli(capsys, "table", "--catalog", "--records")
+        first = json.loads(out.splitlines()[0])
+        assert (first["pair"], first["table_pair"]) == (["111", "112"], ["111", "112"])
+
     def test_growth(self, capsys):
         code, out, _ = run_cli(capsys, "growth", "--pattern", "212",
                                "--m", "2", "--nmax", "4", "--csv")
