@@ -10,12 +10,10 @@ from .core import (
     MultisetPermutation,
     Pattern,
     PatternSet,
-    avoids_all,
     contains,
     find_occurrence,
     left_to_right_minima,
     normalize_pattern,
-    symmetry,
 )
 from .enumeration import (
     count_avoiders,
@@ -59,10 +57,9 @@ from .classify import (
     symmetry_closure,
 )
 from .growth import (
-    check_stirling_identity,
-    count_words_avoiding,
     growth_table,
     word_counterexample_probe,
+    word_counts_by_length,
 )
 
 __version__ = "0.1.0"

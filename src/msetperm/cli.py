@@ -281,14 +281,17 @@ def cmd_table(args) -> int:
 def cmd_rule(args) -> int:
     rule = builtin_rule(args.name, args.m)
     print(rule.grammar)
-    if args.heights:
+    if args.heights is not None:
         counts = [sum(profile.values()) for profile in levels(rule, args.heights)]
         print("counts by height:", " ".join(str(c) for c in counts))
     return 0
 
 
 def cmd_growth(args) -> int:
-    patterns = PatternSet.of(*[p.strip() for p in args.pattern.split(",") if p.strip()])
+    specs = [p.strip() for p in args.pattern.split(",") if p.strip()]
+    if not specs:
+        raise Unsupported(f"--pattern wants at least one pattern, got {args.pattern!r}")
+    patterns = PatternSet.of(*specs)
     grid = [(n, args.m) for n in range(1, args.nmax + 1)]
     records = [{"n": r.n, "m": r.m, "count": r.count, "ratio": f"{r.ratio:.6f}"}
                for r in growth_table(patterns, grid)]

@@ -183,6 +183,17 @@ class MultisetPermutation(_Value):
         m, rest = divmod(len(s), s[-1])
         return m if not rest and s[::m] == s[m - 1::m] else None
 
+    def reverse(self) -> "MultisetPermutation":
+        return MultisetPermutation._known(self.letters[::-1])
+
+    def complement(self) -> "MultisetPermutation":
+        """The letters under i -> n-i+1, which keeps the multiset fixed only
+        when it is regular, so it is refused otherwise."""
+        if self.regular_m is None:
+            raise UnsupportedSymmetry("complement needs a regular multiset")
+        n = self.alphabet_size
+        return MultisetPermutation._known(tuple(n - v + 1 for v in self.letters))
+
     def __str__(self) -> str:
         return format_letters(self.letters)
 
@@ -547,29 +558,6 @@ def contains(sigma: MultisetPermutation | Sequence[int], pi: Pattern | PatternSe
     PatternSet, which find_occurrence takes too: then True iff sigma
     contains one of its patterns."""
     return find_occurrence(sigma, pi) is not None
-
-
-def avoids_all(sigma: MultisetPermutation | Sequence[int], pi_set: PatternSet) -> bool:
-    return find_occurrence(sigma, pi_set) is None
-
-
-def symmetry(sigma: MultisetPermutation, which: str) -> MultisetPermutation:
-    """Apply reverse, complement, or reverse_complement.
-
-    The complement i -> n-i+1 keeps the multiset fixed only when it is
-    regular, so it is refused otherwise.
-    """
-    if which == "reverse":
-        return MultisetPermutation(sigma.letters[::-1])
-    if which in ("complement", "reverse_complement"):
-        if sigma.regular_m is None:
-            raise UnsupportedSymmetry("complement needs a regular multiset")
-        n = sigma.alphabet_size
-        letters = tuple(n - v + 1 for v in sigma.letters)
-        if which == "reverse_complement":
-            letters = letters[::-1]
-        return MultisetPermutation(letters)
-    raise ValueError(f"unknown symmetry {which!r}")
 
 
 # -- positional statistics ---------------------------------------------------

@@ -33,10 +33,6 @@ class ArithmeticBug(MsetPermError):
     """Exact arithmetic produced an impossible value; indicates an internal fault."""
 
 
-class UnknownRule(Unsupported):
-    """Requested succession rule is not built in, or not for the requested m."""
-
-
 class InvalidDyck(MsetPermError):
     """String is not a balanced Dyck word."""
 

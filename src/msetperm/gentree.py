@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .classify import canonical_pair
 from .core import first_ascent, first_descent, first_repetition
-from .errors import UnknownRule, Unsupported
+from .errors import Unsupported
 
 #: Dead label: such nodes are counted but never extended.
 DEAD = "N"
@@ -179,19 +179,20 @@ def builtin_rule(name: str, m: int = 2) -> SuccessionRule:
     table row allows."""
     row = _RULES.get(name)
     if row is None:
-        raise UnknownRule(f"unknown rule {name!r}; choose from {sorted(_RULES)}")
+        raise Unsupported(f"unknown rule {name!r}; choose from {sorted(_RULES)}")
     if m < 2:
-        raise UnknownRule(f"rule {name!r} needs m >= 2")
+        raise Unsupported(f"rule {name!r} needs m >= 2")
     if row.fixed_m not in (None, m):
-        raise UnknownRule(f"rule {name!r} fixes m = {row.fixed_m}")
+        raise Unsupported(f"rule {name!r} fixes m = {row.fixed_m}")
     return row.factory(m)
 
 
 def rule_for(pair, m: int) -> SuccessionRule:
     """The built-in rule that counts pair's symmetry class, at m."""
-    name = _RULE_BY_CLASS.get(canonical_pair(pair))
+    rep = canonical_pair(pair)
+    name = _RULE_BY_CLASS.get(rep)
     if name is None:
-        raise Unsupported(f"no built-in succession rule covers {pair}")
+        raise Unsupported("no built-in succession rule covers {},{}".format(*rep))
     return builtin_rule(name, m)
 
 

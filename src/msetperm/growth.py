@@ -65,30 +65,7 @@ def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]
     return rows
 
 
-class StirlingVerdict(NamedTuple):
-    n: int
-    m: int
-    enumerated: int
-    formula: int
-
-    @property
-    def equal(self) -> bool:
-        return self.enumerated == self.formula
-
-
-def check_stirling_identity(n: int, m: int) -> StirlingVerdict:
-    """Compare the enumerated 212-avoider count with the closed product form."""
-    enumerated = count_avoiders(n, m, PatternSet.of(_PATTERN_212))
-    return StirlingVerdict(n, m, enumerated, stirling_count(n, m))
-
-
 # -- words ------------------------------------------------------------------------
-
-def count_words_avoiding(n: int, length: int, patterns: PatternSet | Sequence) -> int:
-    """Words of the given length over [n] avoiding every pattern, counted
-    level by level by the word transfer of enumeration."""
-    return word_counts_by_length(n, length, patterns)[length]
-
 
 def word_counterexample_probe(length: int, n: int) -> int:
     """Number of ascent-free (12-avoiding) words of the given length over [n].
@@ -99,4 +76,4 @@ def word_counterexample_probe(length: int, n: int) -> int:
     """
     if length < 1 or n < 1:
         raise ValueError("need length >= 1 and n >= 1")
-    return count_words_avoiding(n, length, PatternSet.of(_PATTERN_12))
+    return word_counts_by_length(n, length, PatternSet.of(_PATTERN_12))[length]

@@ -549,6 +549,14 @@ class TestOtherCommands:
         assert code == 0
         assert [l.split(",")[2] for l in out.splitlines()[1:]] == ["1"] * 4
 
+    @pytest.mark.parametrize("text", [",", "", " , "])
+    def test_growth_refuses_a_pattern_option_with_no_pattern(self, capsys, text):
+        # the empty set would count every permutation: 1 and 6 at m = 2
+        code, out, err = run_cli(capsys, "growth", "--pattern", text, "--m", "2",
+                                 "--nmax", "2")
+        assert code == 2 and out == ""
+        assert err == f"unsupported: --pattern wants at least one pattern, got {text!r}\n"
+
     def test_growth_csv_shape(self, capsys):
         code, out, _ = run_cli(capsys, "growth", "--pattern", "212", "--m", "2",
                                "--nmax", "3", "--csv")
@@ -581,6 +589,11 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[0] == "root 1"
         assert "counts by height: 1 1 4 13 43" in out
+
+    def test_rule_counts_up_to_height_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "rule", "--name", "211-213", "--heights", "0")
+        assert code == 0
+        assert out.splitlines()[-1] == "counts by height: 1"
 
     def test_explicit_zero_scope_is_not_replaced_by_the_default(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "table1", "--nmax", "0")

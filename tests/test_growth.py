@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msetperm.core import PatternSet
+from msetperm.enumeration import count_avoiders
 from msetperm.errors import BudgetExceeded
-from msetperm.formulas import generalized_catalan
+from msetperm.formulas import generalized_catalan, stirling_count
 from msetperm.growth import (
-    check_stirling_identity,
-    count_words_avoiding,
     growth_table,
     word_counterexample_probe,
     word_counts_by_length,
@@ -41,12 +40,12 @@ class TestWordProbe:
             ps = PatternSet.of(*pats)
             raw = [tuple(int(c) for c in p) for p in pats]
             for n, length in ((2, 4), (3, 3), (4, 2)):
-                assert count_words_avoiding(n, length, ps) == \
+                assert word_counts_by_length(n, length, ps)[length] == \
                     naive_word_count(n, length, raw), (pats, n, length)
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            count_words_avoiding(3, 25, PatternSet.of("12"))
+            word_counts_by_length(3, 25, PatternSet.of("12"))
 
     def test_words_need_not_use_every_letter(self):
         # 11 and 22 are forbidden, yet 12 and 21 are words of length 2: a
@@ -65,21 +64,21 @@ class TestWordProbe:
         raw = [p.letters for p in ps]
         assert word_counts_by_length(n, max_length, ps) == \
             [naive_word_count(n, length, raw) for length in range(max_length + 1)]
-        assert count_words_avoiding(n, max_length, ps) == \
-            naive_word_count(n, max_length, raw)
+
+
+def _avoiders_of_212(n, m):
+    return count_avoiders(n, m, PatternSet.of("212"))
 
 
 class TestStirlingIdentity:
     def test_examples(self):
-        assert check_stirling_identity(2, 2).equal
-        assert check_stirling_identity(2, 2).formula == 3
-        assert check_stirling_identity(1, 5).formula == 1
-        verdict = check_stirling_identity(3, 2)
-        assert verdict.equal and verdict.formula == 15
+        assert _avoiders_of_212(2, 2) == stirling_count(2, 2) == 3
+        assert stirling_count(1, 5) == 1
+        assert _avoiders_of_212(3, 2) == stirling_count(3, 2) == 15
 
     def test_grid(self):
         for n, m in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)):
-            assert check_stirling_identity(n, m).equal
+            assert _avoiders_of_212(n, m) == stirling_count(n, m)
 
 
 class TestGrowthTable:

@@ -24,7 +24,7 @@ from msetperm.errors import (
 )
 from msetperm.formulas import FormulaEntry
 from msetperm.gentree import SuccessionRule
-from msetperm.growth import GrowthRow, StirlingVerdict
+from msetperm.growth import GrowthRow
 from msetperm.verify import AgreementRow, CheckResult
 
 P123, P132 = Pattern((1, 2, 3)), Pattern((1, 3, 2))
@@ -78,9 +78,6 @@ CASES = [
     (GrowthRow, {"n": 2, "m": 2, "count": 6, "ratio": 1.5},
      {"n": 2, "m": 2, "count": 6, "ratio": 1.25},
      "GrowthRow(n=2, m=2, count=6, ratio=1.5)", []),
-    (StirlingVerdict, {"n": 2, "m": 2, "enumerated": 3, "formula": 3},
-     {"n": 2, "m": 2, "enumerated": 3, "formula": 4},
-     "StirlingVerdict(n=2, m=2, enumerated=3, formula=3)", []),
     (CheckResult, {"suite": "s", "name": "n", "ok": True},
      {"suite": "s", "name": "n", "ok": False},
      "CheckResult(suite='s', name='n', ok=True, detail='', hard=True)", []),
