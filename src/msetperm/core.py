@@ -68,9 +68,12 @@ class _Value:
     compares (only within one class) and hashes by it, gives the
     dataclass-style repr, refuses assignment and deletion with
     AttributeError, and pickles and copies an instance by calling the class
-    on its fields, so that the checks run again."""
+    on its fields, so that the checks run again.  The hash is such a
+    derived value: computed on first use and stored in the base's _hash
+    slot, so that hashing a value again, and comparing it with itself, read
+    no field; a pickled or copied twin computes its own."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls) -> None:
         cls._fields = fields = tuple(name for name in cls.__slots__ if name[0] != "_")
@@ -80,12 +83,19 @@ class _Value:
         cls._astuple = property(get if len(fields) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._astuple == other._astuple
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._astuple)
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._astuple)
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -74,19 +74,24 @@ def stirling_count(n: int, m: int) -> BigCount:
 
 _REP_211_213 = canonical_pair(("211", "213"))
 _REP_122_213 = canonical_pair(("122", "213"))
-#: The classes whose counts also satisfy a two-term recurrence with a Binet form.
-RECURRENCE_FAMILIES = (_REP_211_213, _REP_122_213)
+#: The classes whose counts also satisfy a two-term recurrence with a Binet
+#: form, each representative keyed on itself: a lookup returns the one object
+#: that _REP_211_213 is, so `is` may test the value found.
+RECURRENCE_FAMILIES: Mapping[PatternSet, PatternSet] = {
+    rep: rep for rep in (_REP_211_213, _REP_122_213)}
 
 
 def _family(pair) -> PatternSet:
-    """The representative of the Fibonacci-like family that pair belongs to."""
-    if pair in RECURRENCE_FAMILIES:
-        # the representative itself, as the registry's evaluators pass it
-        return pair
-    rep = canonical_pair(pair)
-    if rep in RECURRENCE_FAMILIES:
-        return rep
-    raise Unsupported("no two-term recurrence is catalogued for {},{}".format(*rep))
+    """The representative of the Fibonacci-like family that pair belongs to,
+    by one dict lookup: of the pair itself when it is a PatternSet (the
+    registry's evaluators pass the representative), else of its class's."""
+    family = RECURRENCE_FAMILIES.get(pair) if isinstance(pair, PatternSet) else None
+    if family is None:
+        rep = canonical_pair(pair)
+        family = RECURRENCE_FAMILIES.get(rep)
+        if family is None:
+            raise Unsupported("no two-term recurrence is catalogued for {},{}".format(*rep))
+    return family
 
 
 def recurrence_terms(pair, n: int, m: int) -> Iterator[BigCount]:
@@ -96,7 +101,7 @@ def recurrence_terms(pair, n: int, m: int) -> Iterator[BigCount]:
     coeff is 2 for the (211,213) family and m for the (122,213) family;
     the two coincide at m = 2.
     """
-    coeff = 2 if _family(pair) == _REP_211_213 else m
+    coeff = 2 if _family(pair) is _REP_211_213 else m
     if m < 2:
         raise OutOfDomain("recurrences are stated for n >= 1, m >= 2")
     prev, cur = 1, m + 1
@@ -141,7 +146,7 @@ def explicit_count(pair, n: int, m: int) -> BigCount:
     family = _family(pair)
     if n < 1 or m < 2:
         raise OutOfDomain("explicit forms are stated for n >= 1, m >= 2")
-    if family == _REP_211_213:
+    if family is _REP_211_213:
         x, y = _quadratic_power(1, 1, 2, n - 1)
         # (2 + m*sqrt(2))(x + y*sqrt(2)) plus its conjugate
         total, divisor = 2 * (2 * x + 2 * m * y), 4

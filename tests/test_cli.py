@@ -152,6 +152,14 @@ class TestCount:
         assert code == 0
         assert out.splitlines()[-1] == "cross-check: OK (2 methods agree)"
 
+    def test_method_all_on_a_family_member_at_m3(self, capsys):
+        # (132,221) is an image of (211,213); at m = 3 the (122,213)
+        # recurrence would answer 13, not 9
+        code, out, _ = run_cli(capsys, "count", "--pair", "132,221", "--n", "3",
+                               "--m", "3", "--method", "all", "--no-cache")
+        assert code == 0
+        assert out.splitlines()[-1] == "cross-check: OK (4 methods agree)"
+
     def test_method_all_mismatch_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "recurrence_count", lambda pair, n, m: -1)
         code, _, err = run_cli(capsys, "count", "--pair", "211,213", "--n", "3",

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from msetperm.classify import canonical_pair
+from msetperm.classify import canonical_pair, symmetry_closure
 from msetperm.core import LENGTH3_PATTERNS, TRIPLE_REPEAT, PatternSet
 from msetperm.enumeration import count_avoiders
 from msetperm.errors import OutOfDomain, Unsupported
 from msetperm.formulas import (
+    RECURRENCE_FAMILIES,
     REGISTRY,
     _quadratic_power,
     catalan,
@@ -19,6 +20,7 @@ from msetperm.formulas import (
     generalized_catalan,
     proved_count,
     recurrence_count,
+    recurrence_terms,
     rothe,
     stirling_count,
 )
@@ -73,6 +75,25 @@ class TestRecurrences:
     def test_accepts_symmetry_images(self):
         # (122,231) is the complement image of (211,213)
         assert recurrence_count(("122", "231"), 3, 2) == 7
+
+    @pytest.mark.parametrize("as_strings", [True, False], ids=["strings", "PatternSet"])
+    @pytest.mark.parametrize("member, rep", [
+        (member, rep) for rep in RECURRENCE_FAMILIES
+        for member in symmetry_closure(rep).members], ids=str)
+    def test_every_orbit_member_is_served_as_its_family(self, member, rep, as_strings):
+        # at m >= 3 the families' coefficients differ (2 against m), so a
+        # member served as the other family reads a different count
+        pair = tuple(str(p) for p in member) if as_strings else member
+        for m in range(2, 7):
+            assert list(recurrence_terms(pair, 8, m)) == list(recurrence_terms(rep, 8, m))
+            for n in range(1, 9):
+                expected = recurrence_count(rep, n, m)
+                assert recurrence_count(pair, n, m) == expected, (n, m)
+                assert explicit_count(pair, n, m) == expected, (n, m)
+                assert closed_count(pair, n, m) == expected, (n, m)
+                assert proved_count(pair, n, m) == expected, (n, m)
+        other = next(r for r in RECURRENCE_FAMILIES if r != rep)
+        assert recurrence_count(pair, 3, 3) != recurrence_count(other, 3, 3)
 
     def test_rejects_other_pairs(self):
         for count in (recurrence_count, explicit_count):

@@ -144,3 +144,24 @@ def test_only_the_base_defines_equality_and_hash():
     values = _subclasses(_Value)
     assert {case[0] for case in CASES[:7]} <= values
     assert [cls for cls in values if {"__eq__", "__hash__"} & cls.__dict__.keys()] == []
+
+
+
+#: the package's own value classes, whose hash the base stores on first use
+VALUES = [case for case in CASES if issubclass(case[0], _Value)]
+
+
+@pytest.mark.parametrize("cls, fields", [case[:2] for case in VALUES],
+                         ids=[case[0].__name__ for case in VALUES])
+def test_the_hash_is_computed_once_and_a_value_equals_itself_unread(cls, fields, monkeypatch):
+    # record each read of the field tuple
+    reads, get = [], cls._astuple.fget
+    monkeypatch.setattr(cls, "_astuple", property(lambda x: reads.append(x) or get(x)))
+    x, same = cls(**fields), cls(**fields)
+    assert x == x and not x != x and reads == []
+    assert hash(x) == hash(x) == hash(_fields(x)) and reads == [x]
+    # a distinct equal value still compares by its fields and hashes the same
+    assert x == same and x is not same and hash(same) == hash(x)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        del reads[:]
+        assert hash(twin) == hash(x) and reads == [twin]
