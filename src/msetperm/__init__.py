@@ -58,7 +58,6 @@ from .classify import (
 )
 from .growth import (
     growth_table,
-    word_counterexample_probe,
     word_counts_by_length,
 )
 

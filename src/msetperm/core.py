@@ -70,8 +70,9 @@ class _Value:
     AttributeError, and pickles and copies an instance by calling the class
     on its fields, so that the checks run again.  The hash is such a
     derived value: computed on first use and stored in the base's _hash
-    slot, so that hashing a value again, and comparing it with itself, read
-    no field; a pickled or copied twin computes its own."""
+    slot, which is read with a default so that an unset slot raises
+    nothing.  Hashing a value again, and comparing it with itself, read no
+    field; a pickled or copied twin computes its own."""
 
     __slots__ = ("_hash",)
 
@@ -90,12 +91,11 @@ class _Value:
         return NotImplemented
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        value = getattr(self, "_hash", None)
+        if value is None:
             value = hash(self._astuple)
             object.__setattr__(self, "_hash", value)
-            return value
+        return value
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -8,12 +8,15 @@ allowed letter leads to (the approach of Brändén and Mansour, "Finite
 automata and pattern avoidance in words", J. Combin. Theory Ser. A, 2005).
 For the canonical patterns of length 2 and 3 a letter is decided by O(1)
 terms over the letters seen (core's _BLOCKS, which containment reads too);
-the pattern 1 and anything of length 4 or more are tested directly on the
-prefix or word, which then joins the state.
+the pattern 1 and anything of length 4 or more are tested directly.
 
 A permutation places every letter, so its state is the tuple of remaining
-copies (walk).  A word need not, so its state carries the masks of the
-letters seen and blocked (word_counts_by_length).
+copies (walk).  Listing records each level's allowed steps and then builds
+every state's completions backward, deepest level first; a pattern without
+a term is tested on each completion.  A word need not place every letter,
+so its state carries the masks of the letters seen and blocked
+(word_counts_by_length), and the word itself when a pattern without a term
+is tested on it.
 
 With a pattern of length 4 or more, every path takes the smaller
 PLAIN_LENGTH_BUDGET, and word counting the PLAIN_WORD_BUDGET too.  Counts
@@ -69,22 +72,18 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
     one completion.  The state does not canonicalize under symmetry.
 
     Listing runs the same transfer to the last level, recording each
-    state's allowed letters once, then extends the prefixes by their
-    states' letters, depth first on an explicit stack with the smallest
-    letter on top: they come out in lexicographic order, and the stack
-    holds only the unvisited siblings along one path.  A state with a
-    forced tail is not unfolded.  The full state has the empty tail; one
-    backward pass over the levels, deepest first, drops each letter whose
-    child has no completion and gives a state left with one letter c, whose
-    child has a tail, the tail (c,) + that tail.  A prefix that reaches a
-    state with a tail is emitted as prefix + tail.  A pattern without a
-    _BLOCKS term (1, or length 4 or more) is tested directly on each
-    extended prefix, so with one the prefix joins the state: there is no
-    backward pass, only the full state has a tail, a prefix whose state
-    allows no letter is dropped, and the count is the listing's length.
+    state's allowed (letter, child) steps, one dict per level.  One backward
+    build, deepest level first, then gives each state its completions: its
+    allowed letters in increasing order, each followed by every completion
+    of its child.  The full state's completion is (), and a dead state's
+    list is empty.  The root's list is the listing, in lexicographic order,
+    and the count is its length.  Only two adjacent levels of completions
+    exist at once.  A pattern without a _BLOCKS term (1, or length 4 or
+    more) is tested on each completion as it is built: a word that contains
+    it makes every longer word ending in it contain it too.
 
-    visit(prefix) sees each full-length prefix, a tuple, in lexicographic
-    order.  Its return value is ignored.
+    visit(word) sees each listed word, a tuple, in lexicographic order.  Its
+    return value is ignored.
     """
     depth = sum(capacity)
     blocks = _set_terms(patterns)
@@ -92,11 +91,13 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
     slow = [p for p, term in zip(patterns, blocks) if term is None]
     counting = visit is None and not slow
     letters = range(1, len(capacity))
-    steps: dict[tuple, list[tuple[int, tuple]]] = {}
+    levels: list[dict[tuple, list[tuple[int, tuple]]]] = []
     level = {tuple(capacity): 1}
     for _ in range(depth - 1 if counting else depth):
         following: dict[tuple, int] = {}
         get = following.get
+        if not counting:
+            levels.append(steps := {})
         for remaining, ways in level.items():
             present = left = 0
             for c in letters:
@@ -126,32 +127,22 @@ def walk(capacity: Sequence[int], patterns: PatternSet,
         level = following
     if counting:
         return sum(level.values())
-    tails: dict[tuple, tuple[int, ...]] = dict.fromkeys(level, ())
-    if not slow:
-        # deepest level first: steps holds the levels in order
-        for remaining in reversed(steps):
-            allowed = steps[remaining] = [(c, child) for c, child in steps[remaining]
-                                          if child in tails or steps.get(child)]
-            if len(allowed) == 1:
-                c, child = allowed[0]
-                tail = tails.get(child)
-                if tail is not None:
-                    tails[remaining] = (c,) + tail
-    total = 0
-    stack = [(tuple(capacity), ())]
-    while stack:
-        remaining, prefix = stack.pop()
-        tail = tails.get(remaining)
-        if tail is not None:
-            total += 1
-            if visit is not None:
-                visit(prefix + tail)
-            continue
-        for c, child in reversed(steps[remaining]):
-            word = prefix + (c,)
-            if not slow or not any(contains(word, p) for p in slow):
-                stack.append((child, word))
-    return total
+    completions = dict.fromkeys(level, [()])
+    while levels:
+        steps = levels.pop()
+        # a lone state is the only parent of the next level's states, so
+        # each child's completions are dropped once read
+        take = completions.pop if len(steps) == 1 else completions.__getitem__
+        completions = {remaining: [(c,) + tail for c, child in allowed for tail in take(child)]
+                       for remaining, allowed in steps.items()}
+        if slow:
+            for words in completions.values():
+                words[:] = [word for word in words if not any(contains(word, p) for p in slow)]
+    listing = completions[tuple(capacity)]
+    if visit is not None:
+        for word in listing:
+            visit(word)
+    return len(listing)
 
 
 def _list(mu: tuple[int, ...], patterns: PatternSet) -> list[MultisetPermutation]:

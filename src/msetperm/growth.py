@@ -7,7 +7,8 @@ exact counts together with the display-only ratio count**(1/(n*m)).
 
 Words (letter counts unconstrained) are counted by enumeration's
 word_counts_by_length, level by level as the permutations are, over states
-of the masks of the letters seen and blocked.
+of the masks of the letters seen and blocked; this module publishes it
+beside the permutation probes.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
+from . import enumeration
 from .core import Pattern, PatternSet, as_pattern_set
-from .enumeration import count_avoiders, word_counts_by_length
+from .enumeration import count_avoiders
 from .errors import OutOfDomain, Unsupported
 from .formulas import proved_count, stirling_count
 
 _PATTERN_212 = Pattern((2, 1, 2))
-_PATTERN_12 = Pattern((1, 2))
+
+word_counts_by_length = enumeration.word_counts_by_length
 
 
 class GrowthRow(NamedTuple):
@@ -64,16 +67,3 @@ def growth_table(patterns: PatternSet | Sequence, grid: Iterable[tuple[int, int]
         rows.append(GrowthRow(n, m, count, _growth_ratio(count, n * m)))
     return rows
 
-
-# -- words ------------------------------------------------------------------------
-
-def word_counterexample_probe(length: int, n: int) -> int:
-    """Number of ascent-free (12-avoiding) words of the given length over [n].
-
-    Counted by the word transfer; equals C(n + length - 1, length), which
-    beats any bound of the form constant**length once the alphabet outgrows
-    the word length.
-    """
-    if length < 1 or n < 1:
-        raise ValueError("need length >= 1 and n >= 1")
-    return word_counts_by_length(n, length, PatternSet.of(_PATTERN_12))[length]

@@ -45,6 +45,50 @@ def naive_list(n, m, patterns):
     return [s for s in all_regular_perms(n, m) if naive_avoids(s, patterns)]
 
 
+def _shape(seq):
+    """How each pair of entries compares, pair by pair from the left."""
+    return tuple((a > b) - (a < b) for a, b in itertools.combinations(seq, 2))
+
+
+def _ends_in_occurrence(word, shapes):
+    """Whether some occurrence of a pattern in word uses word's last letter;
+    shapes maps each pattern length to the shapes of those patterns."""
+    *head, last = word
+    return any(_shape([head[i] for i in idx] + [last]) in found
+               for k, found in shapes.items()
+               for idx in itertools.combinations(range(len(head)), k - 1))
+
+
+def extended_list(mu, patterns):
+    """The arrangements of {1^mu[0], ..., n^mu[n-1]} that avoid the
+    patterns, in lexicographic order, for multisets too large to generate
+    whole.  Prefixes are extended one letter at a time, and one is dropped
+    when it, or it followed by some letter still to be placed, contains a
+    pattern: every arrangement that starts with it contains that too.  A new
+    occurrence always ends at the letter just placed."""
+    shapes = {}
+    for p in patterns:
+        shapes.setdefault(len(p), set()).add(_shape(p))
+    out = []
+
+    def extend(prefix, left):
+        if not any(left):
+            out.append(tuple(prefix))
+        for v, copies in enumerate(left, 1):
+            if copies:
+                prefix.append(v)
+                left[v - 1] -= 1
+                if not _ends_in_occurrence(prefix, shapes) and \
+                        not any(_ends_in_occurrence(prefix + [c], shapes)
+                                for c, k in enumerate(left, 1) if k):
+                    extend(prefix, left)
+                prefix.pop()
+                left[v - 1] += 1
+
+    extend([], list(mu))
+    return out
+
+
 def naive_words(n, length):
     return itertools.product(range(1, n + 1), repeat=length)
 

@@ -20,6 +20,7 @@ from msetperm.growth import growth_table
 from reference import (
     all_multiset_perms,
     all_regular_perms,
+    extended_list,
     naive_contains,
     naive_avoids,
     naive_count,
@@ -254,10 +255,11 @@ def test_walk_matches_naive_reference(ps, cell):
 
 
 @pytest.mark.parametrize("specs", [("12", "1234"), ("1", "123"), ("111", "1212"),
-                                   ("123", "1234"), ("2143", "12345")])
+                                   ("123", "1234"), ("2143", "12345"), ("1234",)])
 def test_listing_with_a_pattern_tested_on_the_prefix_matches_naive_reference(specs):
-    # one pattern has a _BLOCKS term and one has none, which is tested on each
-    # prefix: a forced tail would skip that test on the letters it appends.
+    # a pattern without a _BLOCKS term is tested on each completion as the
+    # backward build makes it, the whole word too: an occurrence of 1234
+    # can end at the last letter.  The other sets add one with a term.
     # Every cell with n*m <= 8 but [7]_1 and [8]_1, whose 5,040 and 40,320
     # permutations take the reference up to 11 s.
     ps = PatternSet.of(*specs)
@@ -265,6 +267,34 @@ def test_listing_with_a_pattern_tested_on_the_prefix_matches_naive_reference(spe
                  if _multinomial((m,) * n) <= 2520]:
         assert [s.letters for s in list_avoiders(n, m, ps)] == \
             naive_list(n, m, [p.letters for p in ps]), (specs, n, m)
+
+
+@pytest.mark.parametrize("n, m", [(5, 2), (4, 3), (3, 4), (6, 2)])
+def test_listing_builds_completions_past_dead_states(n, m):
+    # most states the transfer reaches with {123,132} have no completion:
+    # 242 states for 50 live ones at [5]_2, 728 for 72 at [6]_2.  A dead
+    # state's list is empty, and the root's list is the listing, in order.
+    assert [s.letters for s in list_avoiders(n, m, ("123", "132"))] == \
+        extended_list((m,) * n, [(1, 2, 3), (1, 3, 2)])
+
+
+def test_listing_keeps_two_levels_of_completions():
+    # a level's completions are dropped once the level above is built:
+    # listing {122,123} on [7]_2 (7,752 words of length 14) peaks at
+    # 2.5-2.9 MB, keeping every level takes 4.5-5.6 MB, and the depth-first
+    # walk this build replaced took 1.7 MB.  CPython keeps up to 2,000 freed
+    # tuples of each short length for reuse, which tracemalloc does not
+    # count again, so those lists are filled first.
+    ps = PatternSet.of("122", "123")
+    spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
+    del spare
+    tracemalloc.start()
+    try:
+        assert len(list_avoiders(7, 2, ps)) == 7752
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_700_000, peak
 
 
 @settings(max_examples=60, deadline=None)

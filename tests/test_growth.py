@@ -9,7 +9,6 @@ from msetperm.errors import BudgetExceeded
 from msetperm.formulas import generalized_catalan, stirling_count
 from msetperm.growth import (
     growth_table,
-    word_counterexample_probe,
     word_counts_by_length,
 )
 
@@ -17,15 +16,18 @@ from reference import naive_word_count
 
 
 class TestWordProbe:
+    # ascent-free (12-avoiding) words of length L over [n] number
+    # C(n + L - 1, L), which beats any bound constant**L once the alphabet
+    # outgrows the word length
     def test_single_letter_alphabet(self):
         for length in (1, 3, 7):
-            assert word_counterexample_probe(length, 1) == 1
+            assert word_counts_by_length(1, length, PatternSet.of("12"))[length] == 1
 
     def test_small_example(self):
-        assert word_counterexample_probe(2, 3) == 6
+        assert word_counts_by_length(3, 2, PatternSet.of("12"))[2] == 6
 
     def test_exceeds_power_bound(self):
-        count = word_counterexample_probe(3, 10)
+        count = word_counts_by_length(10, 3, PatternSet.of("12"))[3]
         assert count == math.comb(12, 3) == 220
         assert count > (10 / 3) ** 3
 
