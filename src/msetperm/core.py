@@ -390,8 +390,10 @@ def _set_terms(patterns: PatternSet) -> tuple[Term | None, ...]:
         return terms
 
 
-def _occurrence_general(letters: Letters, pat: Letters) -> tuple[int, ...] | None:
+def _occurrence_general(letters: Letters, pat: Letters,
+                        anchored: bool = False) -> tuple[int, ...] | None:
     # Backtracking over positions; depth d tries to place pattern letter d.
+    # anchored places pattern letter 0 at position 0 only.
     l, k = len(letters), len(pat)
 
     def extend(chosen: list[int], start: int) -> tuple[int, ...] | None:
@@ -414,7 +416,7 @@ def _occurrence_general(letters: Letters, pat: Letters) -> tuple[int, ...] | Non
                 chosen.pop()
         return None
 
-    return extend([], 0)
+    return extend([0], 1) if anchored else extend([], 0)
 
 
 def _ranks(letters: Sequence[int]) -> Letters:

@@ -1,35 +1,34 @@
 """Brute-force oracle: generate, count and list the pattern-avoiding
 permutations of a multiset, and count pattern-avoiding words.
 
-Both are counted level by level, one letter per level, by a forward
-transfer: a level maps each state to the number of prefixes or words that
-reach it, and the next level adds that number into every state that an
-allowed letter leads to (the approach of Brändén and Mansour, "Finite
-automata and pattern avoidance in words", J. Combin. Theory Ser. A, 2005).
+Counting, listing and word counting run one level-by-level transfer
+(Brändén and Mansour, "Finite automata and pattern avoidance in words", J.
+Combin. Theory Ser. A, 2005) over a side's states, from its root, by its
+expand(state): the (letter, child) steps of the state's allowed letters,
+in increasing order.  A level maps each state to the number of words that
+reach it.  Counting sums the last level, word counting every level.
+Listing keeps each level's states and their steps and builds every state's
+completions backward, deepest level first: its allowed letters in order,
+each followed by every completion of its child.  Word counting expands
+through functools.cache, so a word state reached at many lengths is
+expanded once.
+
 For the canonical patterns of length 2 and 3 a letter is decided by O(1)
-terms over the letters seen (core's _BLOCKS, which containment reads too);
-the pattern 1 and anything of length 4 or more are tested directly.
-
-A permutation places every letter, so its state is the tuple of remaining
-copies (walk).  Listing records each level's allowed steps and then builds
-every state's completions backward, deepest level first; a pattern without
-a term is tested on each completion.  A word need not place every letter,
-so its state carries the masks of the letters seen and blocked
-(word_counts_by_length), and the word itself when a pattern without a term
-is tested on it.
-
-With a pattern of length 4 or more, every path takes the smaller
-PLAIN_LENGTH_BUDGET, and word counting the PLAIN_WORD_BUDGET too.  Counts
-are plain Python ints, hence arbitrary precision.
+terms over the letters seen (core's _BLOCKS, which containment reads too).
+The pattern 1 and anything of length 4 or more has none, so the word
+travels in the state (_carry_word), and every path takes the smaller
+PLAIN_LENGTH_BUDGET.  Counts are plain Python ints, hence arbitrary
+precision.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterator, Sequence
 
-from .core import (MultisetPermutation, PatternSet, _advance, _set_terms, as_pattern_set,
-                   contains, format_letters)
+from .core import (MultisetPermutation, Pattern, PatternSet, Term, _advance,
+                   _occurrence_general, _set_terms, as_pattern_set, format_letters)
 from .errors import BudgetExceeded
 
 #: Largest permutation length materialized (generate/list).
@@ -53,95 +52,111 @@ def _check_budget(length: int, budget: int, patterns: PatternSet) -> None:
         raise BudgetExceeded(f"length {length} exceeds the budget of {budget}")
 
 
+def _split(patterns: PatternSet) -> tuple[tuple[Term, ...], list[Pattern]]:
+    """The patterns' _BLOCKS terms, and the patterns that have none."""
+    blocks = _set_terms(patterns)
+    return (tuple([term for term in blocks if term is not None]),
+            [p for p, term in zip(patterns, blocks) if term is None])
+
+
+def _carry_word(root: tuple, expand: Callable[[tuple], list],
+                slow: list[Pattern]) -> tuple[tuple, Callable[[tuple], list]]:
+    """The root and expand of a transfer whose state is (state, word) when
+    some pattern has no _BLOCKS term: a step is allowed when expand allows
+    it and the word plus its letter avoids every such pattern.  The word
+    avoids them, so only an occurrence that ends at the letter can be new:
+    with the letter moved to the front, and each pattern's last letter too,
+    it is an occurrence anchored at position 0."""
+    if not slow:
+        return root, expand
+    rotated = [p.letters[-1:] + p.letters[:-1] for p in slow]
+
+    def expand_word(state: tuple) -> list[tuple[int, tuple]]:
+        inner, word = state
+        return [(c, (child, word + (c,))) for c, child in expand(inner)
+                if all(_occurrence_general((c,) + word, pat, True) is None for pat in rotated)]
+
+    return (root, ()), expand_word
+
+
+def _transfer(root: tuple, expand: Callable[[tuple], list], depth: int) -> Iterator[dict]:
+    """Levels 0 to depth, each a dict from a state to the number of words
+    of that length that reach it."""
+    level = {root: 1}
+    yield level
+    for _ in range(depth):
+        following: dict = {}
+        get = following.get
+        for state, ways in level.items():
+            for _, child in expand(state):
+                following[child] = get(child, 0) + ways
+        level = following
+        yield level
+
+
 def walk(capacity: Sequence[int], patterns: PatternSet,
          visit: Callable[[tuple[int, ...]], object] | None = None) -> int:
-    """The package's one search over the permutations of the multiset that
-    holds each letter c capacity[c] times (capacity is 1-indexed by letter,
-    so capacity[0] is 0): how many of them avoid the patterns.
+    """How many permutations of the multiset that holds each letter c
+    capacity[c] times (capacity[0] is 0) avoid the patterns; visit(word)
+    sees each, a tuple, in lexicographic order (its return is ignored).
 
-    A prefix's state is its tuple of remaining copies.  Every letter must be
-    placed, so a prefix at which some letter with copies left would
-    complete a pattern is dead: the prefix plus that letter is a
-    subsequence of every completion.  So a letter is allowed only when its
-    own _BLOCKS terms block none of the letters left after it, and no dead
-    prefix is reached.  The terms read the letter, the letters seen (those
-    with fewer copies left than their capacity) and whether it was seen
-    before, so the allowed letters depend only on the state.  Counting maps
-    each state to the number of prefixes that reach it, keeps no steps, and
-    stops one level short: a live state with one letter left has exactly
-    one completion.  The state does not canonicalize under symmetry.
-
-    Listing runs the same transfer to the last level, recording each
-    state's allowed (letter, child) steps, one dict per level.  One backward
-    build, deepest level first, then gives each state its completions: its
-    allowed letters in increasing order, each followed by every completion
-    of its child.  The full state's completion is (), and a dead state's
-    list is empty.  The root's list is the listing, in lexicographic order,
-    and the count is its length.  Only two adjacent levels of completions
-    exist at once.  A pattern without a _BLOCKS term (1, or length 4 or
-    more) is tested on each completion as it is built: a word that contains
-    it makes every longer word ending in it contain it too.
-
-    visit(word) sees each listed word, a tuple, in lexicographic order.  Its
-    return value is ignored.
+    A prefix's state is one flat tuple (*remaining, present, left): its
+    remaining copies and the masks of the letters seen and of those with
+    copies left.  Every letter must be placed, so a letter is allowed only
+    when its _BLOCKS terms block none of the letters left after it: the
+    prefix plus a blocked letter is a subsequence of every completion.  The
+    terms read only the letter and the letters seen, so the state decides
+    them.  A count stops one level short when every pattern has a term,
+    since a live state with one letter left has one completion.  The state
+    does not canonicalize under symmetry.
     """
-    depth = sum(capacity)
-    blocks = _set_terms(patterns)
-    terms = [term for term in blocks if term is not None]
-    slow = [p for p, term in zip(patterns, blocks) if term is None]
-    counting = visit is None and not slow
+    terms, slow = _split(patterns)
     letters = range(1, len(capacity))
-    levels: list[dict[tuple, list[tuple[int, tuple]]]] = []
-    level = {tuple(capacity): 1}
-    for _ in range(depth - 1 if counting else depth):
-        following: dict[tuple, int] = {}
-        get = following.get
-        if not counting:
-            levels.append(steps := {})
-        for remaining, ways in level.items():
-            present = left = 0
-            for c in letters:
-                if remaining[c]:
-                    left |= 1 << c
-                if remaining[c] < capacity[c]:
-                    present |= 1 << c
-            if not counting:
-                steps[remaining] = allowed = []
-            work = list(remaining)
-            for c in letters:
-                copies = remaining[c]
-                if copies:
-                    bit = 1 << c
-                    after = left ^ bit if copies == 1 else left
-                    lower, upper, again = present & (bit - 1), present & -(bit << 1), present & bit
-                    for term in terms:
-                        if term(bit, lower, upper, again) & after:
-                            break
-                    else:
-                        work[c] = copies - 1
-                        child = tuple(work)
-                        work[c] = copies
-                        following[child] = get(child, 0) + ways
-                        if not counting:
-                            allowed.append((c, child))
-        level = following
-    if counting:
+
+    def expand(state: tuple) -> list[tuple[int, tuple]]:
+        present, left = state[-2], state[-1]
+        steps = []
+        work = list(state)
+        for c in letters:
+            copies = state[c]
+            if copies:
+                bit = 1 << c
+                after = left ^ bit if copies == 1 else left
+                lower, upper, again = present & (bit - 1), present & -(bit << 1), present & bit
+                for term in terms:
+                    if term(bit, lower, upper, again) & after:
+                        break
+                else:
+                    work[c], work[-2], work[-1] = copies - 1, present | bit, after
+                    steps.append((c, tuple(work)))
+                    work[c] = copies
+        return steps
+
+    left = sum(1 << c for c in letters if capacity[c])
+    root, expand = _carry_word((*capacity, 0, left), expand, slow)
+    depth = sum(capacity)
+    if visit is None:
+        for level in _transfer(root, expand, depth if slow else depth - 1):
+            pass
         return sum(level.values())
-    completions = dict.fromkeys(level, [()])
+    recorded = {}
+
+    def record(state: tuple) -> list[tuple[int, tuple]]:
+        recorded[state] = steps = expand(state)
+        return steps
+
+    levels = [list(level) for level in _transfer(root, record, depth)]
+    completions = dict.fromkeys(levels.pop(), [()])
     while levels:
-        steps = levels.pop()
+        states = levels.pop()
         # a lone state is the only parent of the next level's states, so
         # each child's completions are dropped once read
-        take = completions.pop if len(steps) == 1 else completions.__getitem__
-        completions = {remaining: [(c,) + tail for c, child in allowed for tail in take(child)]
-                       for remaining, allowed in steps.items()}
-        if slow:
-            for words in completions.values():
-                words[:] = [word for word in words if not any(contains(word, p) for p in slow)]
-    listing = completions[tuple(capacity)]
-    if visit is not None:
-        for word in listing:
-            visit(word)
+        take = completions.pop if len(states) == 1 else completions.__getitem__
+        completions = {state: [(c,) + tail for c, child in recorded.pop(state)
+                               for tail in take(child)] for state in states}
+    listing = completions[root]
+    for word in listing:
+        visit(word)
     return len(listing)
 
 
@@ -198,15 +213,11 @@ def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence
 
 def word_counts_by_length(n: int, max_length: int,
                           patterns: PatternSet | Sequence) -> list[int]:
-    """Avoiding words over [n] of every length 0..max_length, counted level
-    by level.  A level maps each state to the number of clean words that
-    reach it, and core's _advance steps a state by a letter.  The state is
-    blocked on the letters; present too when some pattern has length 3 (the
-    terms of 12, 21 and 11 read only the appended letter, and again holds at
-    any repeated letter); and the word itself when some pattern has no
-    _BLOCKS term, which is tested on the word plus each letter.  Each
-    state's steps are computed once per call, in a local table: a state
-    reached at many lengths is expanded once."""
+    """Avoiding words over [n] of every length 0..max_length.  A word's
+    state is (present, blocked), the masks of core's _advance, which steps
+    it by a letter that does not arrive blocked.  present is kept only when
+    some pattern has length 3: the terms of 12, 21 and 11 read only the
+    appended letter, and again holds at any repeated letter."""
     patterns = as_pattern_set(patterns)
     if n < 0 or max_length < 0:
         raise ValueError("need n >= 0 and length >= 0")
@@ -214,28 +225,14 @@ def word_counts_by_length(n: int, max_length: int,
     if any(len(p.letters) > 3 for p in patterns) and n ** max_length > PLAIN_WORD_BUDGET:
         raise BudgetExceeded(f"{n ** max_length} words of length {max_length} exceed "
                              f"the budget of {PLAIN_WORD_BUDGET}")
-    blocks = _set_terms(patterns)
-    terms = tuple([term for term in blocks if term is not None])
-    slow = [p for p, term in zip(patterns, blocks) if term is None]
+    terms, slow = _split(patterns)
     reads_present = any(len(p.letters) == 3 for p in patterns)
     letters = (1 << n + 1) - 2
-    steps: dict[tuple, list[tuple]] = {}
-    level = {(0, 0, ()): 1}
-    counts = [1]
-    for _ in range(max_length):
-        following: dict[tuple, int] = {}
-        for state, words in level.items():
-            targets = steps.get(state)
-            if targets is None:
-                present, blocked, word = state
-                targets = steps[state] = []
-                for v in range(1, n + 1):
-                    masks = _advance(present, blocked, v, terms)
-                    if masks is not None and not any(contains(word + (v,), p) for p in slow):
-                        targets.append((masks[0] if reads_present else 0, masks[1] & letters,
-                                        word + (v,) if slow else ()))
-            for target in targets:
-                following[target] = following.get(target, 0) + words
-        level = following
-        counts.append(sum(level.values()))
-    return counts
+
+    def expand(state: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
+        return [(v, (masks[0] if reads_present else 0, masks[1] & letters))
+                for v in range(1, n + 1) if (masks := _advance(*state, v, terms)) is not None]
+
+    root, expand = _carry_word((0, 0), expand, slow)
+    return [sum(level.values())
+            for level in _transfer(root, functools.cache(expand), max_length)]

@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-Deliberately naive: generate everything with itertools, test containment by
+Deliberately naive: generate every arrangement or word, test containment by
 scanning all subsequences.  Nothing here shares code with the package, so
 agreement between the two is meaningful evidence.
 """
@@ -26,11 +26,24 @@ def naive_avoids(sigma, patterns):
 
 
 def all_multiset_perms(mu):
-    """Every arrangement of {1^mu[0], ..., n^mu[n-1]}, sorted, no duplicates."""
-    base = []
-    for v, m in enumerate(mu, start=1):
-        base.extend([v] * m)
-    return sorted(set(itertools.permutations(base)))
+    """Every arrangement of {1^mu[0], ..., n^mu[n-1]}, each once, in
+    lexicographic order: from the sorted letters, the next arrangement swaps
+    the first letter of the last ascent with the rightmost larger letter
+    after it and reverses what follows, until the letters weakly decrease."""
+    word = [v for v, m in enumerate(mu, start=1) for _ in range(m)]
+    out = [tuple(word)]
+    while True:
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+        out.append(tuple(word))
 
 
 def all_regular_perms(n, m):

@@ -179,15 +179,20 @@ def test_listing_reads_each_states_letters_once(monkeypatch):
     # Every _BLOCKS term evaluation is counted.  The transfer decides each
     # state's letters once, for every prefix that reaches it: listing
     # {122,123} on [6]_2 evaluates 4,738 terms (the recursive walk it
-    # replaced took 13,864) and lists the 1,428 avoiders.
+    # replaced took 13,864) and lists the 1,428 avoiders.  Counting them
+    # evaluates 4,726: it expands each state once, keeps no memo, and stops
+    # a level short, so the states with one letter left go unexpanded.
     evaluations = []
     for key, term in list(core._BLOCKS.items()):
         monkeypatch.setitem(core._BLOCKS, key, lambda *args, term=term:
                             evaluations.append(1) or term(*args))
     listed = list_avoiders(6, 2, PatternSet.of("122", "123"))
     assert len(evaluations) == 4_738
+    evaluations.clear()
+    counted = count_avoiders(6, 2, PatternSet.of("122", "123"))
+    assert len(evaluations) == 4_726
     letters = [s.letters for s in listed]
-    assert len(letters) == 1428 == count_avoiders(6, 2, PatternSet.of("122", "123"))
+    assert len(letters) == 1428 == counted
     assert letters == sorted(set(letters))
 
 
@@ -257,16 +262,19 @@ def test_walk_matches_naive_reference(ps, cell):
 @pytest.mark.parametrize("specs", [("12", "1234"), ("1", "123"), ("111", "1212"),
                                    ("123", "1234"), ("2143", "12345"), ("1234",)])
 def test_listing_with_a_pattern_tested_on_the_prefix_matches_naive_reference(specs):
-    # a pattern without a _BLOCKS term is tested on each completion as the
-    # backward build makes it, the whole word too: an occurrence of 1234
-    # can end at the last letter.  The other sets add one with a term.
-    # Every cell with n*m <= 8 but [7]_1 and [8]_1, whose 5,040 and 40,320
-    # permutations take the reference up to 11 s.
+    # a pattern without a _BLOCKS term puts the prefix in the state, and
+    # each step searches the prefix plus its letter for an occurrence that
+    # ends at that letter, the last letter too: an occurrence of 1234 can
+    # end there, so counting such a set cannot stop a level short.  The
+    # other sets add one with a term.  Every cell
+    # with n*m <= 8 but [7]_1 and [8]_1, whose 5,040 and 40,320
+    # permutations take the reference's containment scan up to 11 s.
     ps = PatternSet.of(*specs)
     for n, m in [(n, m) for m in range(1, 9) for n in range(8 // m + 1)
                  if _multinomial((m,) * n) <= 2520]:
-        assert [s.letters for s in list_avoiders(n, m, ps)] == \
-            naive_list(n, m, [p.letters for p in ps]), (specs, n, m)
+        naive = naive_list(n, m, [p.letters for p in ps])
+        assert [s.letters for s in list_avoiders(n, m, ps)] == naive, (specs, n, m)
+        assert count_avoiders(n, m, ps) == len(naive), (specs, n, m)
 
 
 @pytest.mark.parametrize("n, m", [(5, 2), (4, 3), (3, 4), (6, 2)])
@@ -295,6 +303,17 @@ def test_listing_keeps_two_levels_of_completions():
     finally:
         tracemalloc.stop()
     assert peak < 3_700_000, peak
+
+
+@pytest.mark.parametrize("mu", [(), (3,), (2, 2), (1, 1, 1, 1), (2, 2, 2), (1, 2, 3),
+                                (3, 1, 2), (2, 1, 1, 3)])
+def test_reference_generates_each_arrangement_once_in_order(mu):
+    # the reference steps to the next arrangement in place, where sorting
+    # the set of all (sum mu)! orderings gives the same list
+    base = [v for v, copies in enumerate(mu, 1) for _ in range(copies)]
+    out = all_multiset_perms(mu)
+    assert len(out) == _multinomial(mu)
+    assert out == sorted(set(itertools.permutations(base)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,7 +348,7 @@ def _multinomial(mu):
 
 
 #: One or two patterns of length 2 or 3: each has an O(1) blocked-letter
-#: term, so a count with no visit stops one level short of the listing.
+#: term, so the count stops one level short of the listing's transfer.
 count_pattern_sets = st.lists(
     st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=3),
     min_size=1, max_size=2,
