@@ -61,8 +61,11 @@ def canonical_pair(pair) -> PatternSet:
 
 @functools.cache
 def _orbit_representative(pair: PatternSet) -> PatternSet:
-    # keyed on the pair read as a set, so every input shape shares one entry
-    return symmetry_closure(pair).representative
+    # keyed on the pair read as a set, so every input shape shares one entry;
+    # every member gets the object cached for the least one, so a table keyed
+    # by representatives (formulas.REGISTRY) finds its key by identity
+    rep = symmetry_closure(pair).representative
+    return pair if rep == pair else _orbit_representative(rep)
 
 
 def classify_all_length3() -> tuple[PatternPairClass, ...]:

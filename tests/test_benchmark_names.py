@@ -8,7 +8,12 @@ the names are checked here."""
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import msetperm
 from msetperm.classify import canonical_pair, classify_all_length3
@@ -88,6 +93,51 @@ def test_workload_exports_exist():
     assert names
     for name in names:
         assert callable(getattr(msetperm, name)), name
+
+
+#: run in a fresh interpreter: each workload export is read through the
+#: package before the patch or first during it, and patched and restored as
+#: tracing.Tracer does it: after the traced functions' home modules are
+#: imported, on every module of the package that binds the function
+PATCH_AND_RESTORE = """
+import importlib, json, sys
+import msetperm
+traced_homes, exports, first_read = json.loads(sys.argv[1])
+for home in traced_homes:
+    importlib.import_module(f"msetperm.{home}")
+seen = {}
+for name, home in exports.items():
+    original = getattr(sys.modules[home], name)
+    if first_read == "before":
+        getattr(msetperm, name)
+    shim = lambda *args, **kwargs: original(*args, **kwargs)
+    modules = [m for k, m in list(sys.modules.items())
+               if m is not None and (k == "msetperm" or k.startswith("msetperm."))]
+    patches = [(m, key) for m in modules for key, value in list(vars(m).items())
+               if value is original]
+    for m, key in patches:
+        setattr(m, key, shim)
+    during = getattr(msetperm, name) is shim
+    for m, key in reversed(patches):
+        setattr(m, key, original)
+    seen[name] = [during, getattr(msetperm, name) is original]
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("first_read", ["before", "during"])
+def test_package_names_follow_the_tracers_patch_and_restore(first_read):
+    # the package looks a name up in its home module each time it is read;
+    # one it kept from a read during the patch would still be the shim after
+    # the restore
+    traced_homes = sorted({module for module, _ in _traced()})
+    exports = {name: getattr(msetperm, name).__module__ for name in _workload_exports()}
+    src = str(Path(msetperm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", PATCH_AND_RESTORE,
+                          json.dumps([traced_homes, exports, first_read])],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout) == {name: [True, True] for name in exports}
 
 
 def test_evidence_reads_of_verify_exist():

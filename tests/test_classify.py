@@ -12,6 +12,7 @@ from msetperm.classify import (
 from msetperm.core import PatternSet
 from msetperm.enumeration import count_avoiders
 from msetperm.errors import BudgetExceeded, Unsupported
+from msetperm.formulas import REGISTRY
 
 PAPER_MIXED_PAIRS = [
     ("212", "123"), ("212", "132"), ("122", "123"), ("122", "132"),
@@ -89,6 +90,15 @@ class TestClosure:
             assert canonical_pair(shape) == rep
         # letters are reduced, as every pattern reader does: 275 reads as 132
         assert canonical_pair([(2, 7, 5), (1, 2, 3)]) == canonical_pair(("132", "123"))
+
+    def test_every_member_of_a_catalogued_orbit_gets_the_registry_key(self):
+        # one object per orbit, so the registry finds its row by identity
+        # instead of comparing two equal pattern sets
+        for key in REGISTRY:
+            for member in symmetry_closure(key).members:
+                texts = tuple(map(str, member))
+                for shape in (member, texts, texts[::-1]):
+                    assert canonical_pair(shape) is key, (key, shape)
 
     def test_canonical_pair_wants_two_distinct_patterns(self):
         # 233 reduces to 122, so the last two are one pattern too

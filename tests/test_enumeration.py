@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,22 +290,35 @@ def test_listing_builds_completions_past_dead_states(n, m):
         extended_list((m,) * n, [(1, 2, 3), (1, 3, 2)])
 
 
+#: run in a fresh interpreter: the tracemalloc peak of the listing below
+LISTING_PEAK = """
+import tracemalloc
+from msetperm.core import PatternSet
+from msetperm.enumeration import list_avoiders
+ps = PatternSet.of("122", "123")
+spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
+del spare
+tracemalloc.start()
+assert len(list_avoiders(7, 2, ps)) == 7752
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 def test_listing_keeps_two_levels_of_completions():
     # a level's completions are dropped once the level above is built:
     # listing {122,123} on [7]_2 (7,752 words of length 14) peaks at
     # 2.5-2.9 MB, keeping every level takes 4.5-5.6 MB, and the depth-first
     # walk this build replaced took 1.7 MB.  CPython keeps up to 2,000 freed
     # tuples of each short length for reuse, which tracemalloc does not
-    # count again, so those lists are filled first.
-    ps = PatternSet.of("122", "123")
-    spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
-    del spare
-    tracemalloc.start()
-    try:
-        assert len(list_avoiders(7, 2, ps)) == 7752
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # count again, so those lists are filled first.  A full collection in
+    # the first 40% of the call empties them again and reads up to 4.05 MB;
+    # whether one lands there depends on the collector's history, so the
+    # peak is taken in a fresh interpreter, where that history is the same
+    # on every run.
+    src = str(Path(core.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", LISTING_PEAK], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    peak = int(out.stdout)
     assert peak < 3_700_000, peak
 
 
