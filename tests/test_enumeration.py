@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msetperm import core
+from msetperm import core, enumeration
 from msetperm.core import LENGTH3_PATTERNS, PatternSet, TRIPLE_REPEAT
 from msetperm.enumeration import (
     count_avoiders,
@@ -184,16 +185,18 @@ def test_listing_reads_each_states_letters_once(monkeypatch):
     # state's letters once, for every prefix that reaches it: listing
     # {122,123} on [6]_2 evaluates 4,738 terms (the recursive walk it
     # replaced took 13,864) and lists the 1,428 avoiders.  Counting them
-    # evaluates 4,726: it expands each state once, keeps no memo, and stops
-    # a level short, so the states with one letter left go unexpanded.
+    # with walk on the same set evaluates 4,726: it expands each state
+    # once, keeps no memo, and stops a level short, so the states with one
+    # letter left go unexpanded.  (count_avoiders may count the reverse.)
     evaluations = []
     for key, term in list(core._BLOCKS.items()):
         monkeypatch.setitem(core._BLOCKS, key, lambda *args, term=term:
                             evaluations.append(1) or term(*args))
-    listed = list_avoiders(6, 2, PatternSet.of("122", "123"))
+    patterns = PatternSet.of("122", "123")
+    listed = list_avoiders(6, 2, patterns)
     assert len(evaluations) == 4_738
     evaluations.clear()
-    counted = count_avoiders(6, 2, PatternSet.of("122", "123"))
+    counted = walk((0,) + (2,) * 6, patterns)
     assert len(evaluations) == 4_726
     letters = [s.letters for s in listed]
     assert len(letters) == 1428 == counted
@@ -234,10 +237,70 @@ def test_long_pattern_falls_back_to_generic_check():
 
 
 def test_counts_invariant_under_pattern_symmetry():
+    # walked as given: count_avoiders counts a set and its reverse alike
     for ps in (_pair_patterns()[:20] + _single_patterns()):
-        base = count_avoiders(2, 3, ps)
-        assert count_avoiders(2, 3, ps.reverse()) == base
-        assert count_avoiders(2, 3, ps.complement()) == base
+        base = walk((0, 3, 3), ps)
+        assert walk((0, 3, 3), ps.reverse()) == base
+        assert walk((0, 3, 3), ps.complement()) == base
+
+
+# -- the reading direction count_avoiders picks ------------------------------
+
+def test_count_reads_the_cheaper_direction(monkeypatch):
+    # {123,132} on [6]_2: the set as given visits 728 states, its reverse
+    # {231,321} 72, and the probe on [4]_2 picks the reverse
+    patterns = PatternSet.of("123", "132")
+    count_avoiders(6, 2, patterns)
+    visited = []
+    transfer = enumeration._transfer
+
+    def counted(root, expand, depth):
+        for level in transfer(root, expand, depth):
+            visited.append(len(level))
+            yield level
+
+    monkeypatch.setattr(enumeration, "_transfer", counted)
+    assert count_avoiders(6, 2, patterns) == 1536
+    assert sum(visited) == 72
+    visited.clear()
+    assert walk((0,) + (2,) * 6, patterns) == 1536
+    assert sum(visited) == 728
+
+
+def test_the_direction_is_chosen_once_per_set_value(monkeypatch):
+    # a cold cache: the first count probes both directions on [4]_2 and then
+    # counts; an equal set built afresh finds the choice and only counts
+    monkeypatch.setattr(enumeration, "_cheaper", functools.lru_cache(maxsize=256)(
+        enumeration._cheaper.__wrapped__))
+    transfers = []
+    transfer = enumeration._transfer
+    monkeypatch.setattr(enumeration, "_transfer",
+                        lambda *args: transfers.append(1) or transfer(*args))
+    count_avoiders(3, 2, PatternSet.of("123", "132"))
+    assert len(transfers) == 3
+    count_avoiders(3, 2, PatternSet.of("123", "132"))
+    assert len(transfers) == 4
+
+
+#: Every set of one or two of the twelve length-3 patterns over two or more
+#: values.
+_SMALL_SETS = [PatternSet(c) for k in (1, 2)
+               for c in itertools.combinations(LENGTH3_PATTERNS, k)]
+
+
+def test_counting_either_direction_matches_the_set_as_given():
+    # reversal maps the avoiders of P on every multiset one to one onto
+    # those of r(P): what count_avoiders relies on to count the cheaper one
+    assert len(_SMALL_SETS) == 78
+    cells = [(n, m) for m in range(2, 7) for n in range(0, 7) if n * m <= 12]
+    for ps in _SMALL_SETS:
+        for n, m in cells:
+            assert count_avoiders(n, m, ps) == walk((0,) + (m,) * n, ps), (ps, n, m)
+        for capacity in ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 1, 1, 2)):
+            assert walk(capacity, ps) == walk(capacity, ps.reverse()), (ps, capacity)
+    long = PatternSet.of("1342", "2113")
+    assert count_avoiders(4, 2, long) == walk((0, 2, 2, 2, 2), long)
+    assert walk((0, 2, 2, 2, 2), long) == walk((0, 2, 2, 2, 2), long.reverse())
 
 
 # -- differential tests of the walk against the naive reference ----------------

@@ -1,6 +1,8 @@
+import functools
+
 import pytest
 
-from msetperm import bijections, cli, verify
+from msetperm import bijections, cli, core, verify
 from msetperm.core import MultisetPermutation
 from msetperm.errors import BudgetExceeded, Unsupported
 from msetperm.verify import (
@@ -26,6 +28,26 @@ def test_a_scope_with_no_cell_is_unsupported():
                 suite(n_max=n_max, m_max=m_max)
     # n = 0 alone is a cell at every m
     assert [r.detail for r in verify_table1(n_max=0, m_max=2)] == ["1 cells"] * 7
+
+
+@pytest.mark.parametrize("key,term", [
+    # 221 also blocks the letters below whenever a larger letter was seen;
+    # table1 passes with it (in a fresh process)
+    ((2, 2, 1), lambda bit, lower, upper, again: bit - 1 if again or upper else 0),
+    # 123 read as 12: 6b would pass it if it counted each member through
+    # count_avoiders, which counts a set and its reverse in one direction
+    ((1, 2, 3), core._BLOCKS[(1, 2)]),
+])
+def test_criterion_6b_catches_a_term_that_breaks_symmetry(monkeypatch, key, term):
+    # 6b walks each orbit member as given.  The pattern-set cache is swapped
+    # for an empty one, so that every member reads its terms under the
+    # patch and none outlives it.
+    monkeypatch.setattr(core, "_read_pattern_set", functools.lru_cache(maxsize=256)(
+        core._read_pattern_set.__wrapped__))
+    monkeypatch.setitem(core._BLOCKS, key, term)
+    results = {r.name: r for r in run_suite("classify")}
+    assert not results["within-class-equality"].ok
+    assert results["pair-universe"].ok
 
 
 def test_report_rows_match_known_disagreements():
