@@ -321,7 +321,8 @@ def as_pattern_set(patterns: PatternSet | Iterable) -> PatternSet:
     A hashable tuple of specs, such as ("122", "213"), is read once and then
     served from a bounded cache, so that a sweep over many cells reads each
     pair once; other specs, such as lists of letters, are read on each call.
-    An invalid spec raises on every call: the cache stores no errors."""
+    An invalid spec raises on every call: the cache stores no errors, and a
+    string raises: read letter by letter, "123" would be {1, 2, 3}."""
     if isinstance(patterns, PatternSet):
         return patterns
     if isinstance(patterns, tuple):
@@ -331,6 +332,9 @@ def as_pattern_set(patterns: PatternSet | Iterable) -> PatternSet:
             pass
         else:
             return _read_pattern_set(patterns)
+    if isinstance(patterns, str):
+        raise InvalidPattern(f"a pattern set, not the string {patterns!r}: write "
+                             f"({patterns!r},) or PatternSet.of({patterns!r})")
     return PatternSet.of(*patterns)
 
 

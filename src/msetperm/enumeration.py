@@ -6,12 +6,14 @@ Counting, listing and word counting run one level-by-level transfer
 Combin. Theory Ser. A, 2005) over a side's states, from its root, by its
 expand(state): the (letter, child) steps of the state's allowed letters,
 in increasing order.  A level maps each state to the number of words that
-reach it.  Counting sums the last level, word counting every level.
-Listing keeps each level's states and their steps and builds every state's
-completions backward, deepest level first: its allowed letters in order,
-each followed by every completion of its child.  Word counting expands
-through functools.cache, so a word state reached at many lengths is
-expanded once.  The state does not canonicalize under symmetry, but
+reach it.  walk counts the permutations of the multiset with
+multiplicities mu, summing the last level; _list lists them, keeping each
+level's states and steps and building every state's completions backward,
+deepest level first: its allowed letters in order, each followed by every
+completion of its child.  Both start from _permutations, which alone
+builds the (0, *mu) state layout.  Word counting sums every level and
+expands through functools.cache, so a word state reached at many lengths
+is expanded once.  The state does not canonicalize under symmetry, but
 count_avoiders counts the cheaper of the set and its reverse, which have
 equally many avoiders on every multiset (_cheaper); walk, listing and word
 counting read the set as given.
@@ -97,23 +99,24 @@ def _transfer(root: tuple, expand: Callable[[tuple], list], depth: int) -> Itera
         yield level
 
 
-def _permutations(capacity: Sequence[int], patterns: PatternSet
+def _permutations(mu: Sequence[int], patterns: PatternSet
                   ) -> tuple[tuple, Callable[[tuple], list], int]:
-    """The root and expand of the transfer over the permutations of the
-    multiset that holds each letter c capacity[c] times (capacity[0] is 0)
-    that avoid the patterns, and the depth a count runs it to.
+    """The root and expand of the transfer over the permutations of
+    {1^mu(1), ..., n^mu(n)} that avoid the patterns, and the depth a count
+    runs it to.
 
-    A prefix's state is one flat tuple (*remaining, present, left): its
-    remaining copies and the masks of the letters seen and of those with
-    copies left.  Every letter must be placed, so a letter is allowed only
-    when its _BLOCKS terms block none of the letters left after it: the
-    prefix plus a blocked letter is a subsequence of every completion.  The
-    terms read only the letter and the letters seen, so the state decides
-    them.  A count stops one level short when every pattern has a term,
-    since a live state with one letter left has one completion.
+    A prefix's state is one flat tuple (0, *remaining, present, left), built
+    here only: letter c's remaining copies at index c, and the masks of the
+    letters seen and of those with copies left.  Every letter must be
+    placed, so a letter is allowed only when its _BLOCKS terms block none of
+    the letters left after it: the prefix plus a blocked letter is a
+    subsequence of every completion.  The terms read only the letter and the
+    letters seen, so the state decides them.  A count stops one level short
+    when every pattern has a term, since a live state with one letter left
+    has one completion.
     """
     terms, slow = _split(patterns)
-    letters = range(1, len(capacity))
+    letters = range(1, len(mu) + 1)
 
     def expand(state: tuple) -> list[tuple[int, tuple]]:
         present, left = state[-2], state[-1]
@@ -134,53 +137,29 @@ def _permutations(capacity: Sequence[int], patterns: PatternSet
                     work[c] = copies
         return steps
 
-    left = sum(1 << c for c in letters if capacity[c])
-    root, expand = _carry_word((*capacity, 0, left), expand, slow)
-    depth = sum(capacity)
+    left = sum(1 << c for c, copies in enumerate(mu, 1) if copies)
+    root, expand = _carry_word((0, *mu, 0, left), expand, slow)
+    depth = sum(mu)
     return root, expand, depth if slow else depth - 1
 
 
-def walk(capacity: Sequence[int], patterns: PatternSet,
-         visit: Callable[[tuple[int, ...]], object] | None = None) -> int:
-    """How many permutations of the multiset that holds each letter c
-    capacity[c] times (capacity[0] is 0) avoid the patterns; visit(word)
-    sees each, a tuple, in lexicographic order (its return is ignored).
-    The patterns are read as given: the state does not canonicalize under
-    symmetry."""
-    root, expand, depth = _permutations(capacity, patterns)
-    if visit is None:
-        for level in _transfer(root, expand, depth):
-            pass
-        return sum(level.values())
-    recorded = {}
-
-    def record(state: tuple) -> list[tuple[int, tuple]]:
-        recorded[state] = steps = expand(state)
-        return steps
-
-    levels = [list(level) for level in _transfer(root, record, sum(capacity))]
-    completions = dict.fromkeys(levels.pop(), [()])
-    while levels:
-        states = levels.pop()
-        # a lone state is the only parent of the next level's states, so
-        # each child's completions are dropped once read
-        take = completions.pop if len(states) == 1 else completions.__getitem__
-        completions = {state: [(c,) + tail for c, child in recorded.pop(state)
-                               for tail in take(child)] for state in states}
-    listing = completions[root]
-    for word in listing:
-        visit(word)
-    return len(listing)
+def walk(mu: Sequence[int], patterns: PatternSet) -> int:
+    """How many permutations of {1^mu(1), ..., n^mu(n)} avoid the patterns,
+    read as given: the state does not canonicalize under symmetry."""
+    root, expand, depth = _permutations(mu, patterns)
+    for level in _transfer(root, expand, depth):
+        pass
+    return sum(level.values())
 
 
 #: The multiset [4]_2, on which _cheaper compares the two directions.
-_PROBE_CAPACITY = (0, 2, 2, 2, 2)
+_PROBE_MU = (2, 2, 2, 2)
 
 
 @functools.lru_cache(maxsize=256)
 def _cheaper(patterns: PatternSet) -> PatternSet:
     """The patterns or their reverse, whichever a count's transfer visits
-    fewer states of on _PROBE_CAPACITY; the patterns as given on a tie.
+    fewer states of on _PROBE_MU; the patterns as given on a tie.
     Reversal maps the avoiders of P on every multiset one to one onto those
     of r(P), so both count alike, but the transfer reads left to right and
     its look-ahead prunes well in one direction only: {123,132} on [6]_2
@@ -193,36 +172,48 @@ def _cheaper(patterns: PatternSet) -> PatternSet:
         return patterns
 
     def states(side: PatternSet) -> int:
-        root, expand, depth = _permutations(_PROBE_CAPACITY, side)
+        root, expand, depth = _permutations(_PROBE_MU, side)
         return sum(len(level) for level in _transfer(root, expand, depth))
 
     return min((patterns, patterns.reverse()), key=states)
 
 
 def _list(mu: tuple[int, ...], patterns: PatternSet) -> list[MultisetPermutation]:
-    """The permutations of {1^mu(1), ..., n^mu(n)} that avoid the patterns.
-    Each is checked by one sort and compare with the sorted letters of mu,
-    built once, and an AssertionError names one that fails."""
+    """The permutations of {1^mu(1), ..., n^mu(n)} that avoid the patterns,
+    in lexicographic order: the package's one listing path.  Each is checked
+    by one sort and compare with the sorted letters of mu, built once, and
+    an AssertionError names one that fails."""
     _check_budget(sum(mu), LIST_LENGTH_BUDGET, patterns)
+    root, expand, _ = _permutations(mu, patterns)
+    recorded = {}
+
+    def record(state: tuple) -> list[tuple[int, tuple]]:
+        recorded[state] = steps = expand(state)
+        return steps
+
+    levels = [list(level) for level in _transfer(root, record, sum(mu))]
+    completions = dict.fromkeys(levels.pop(), [()])
+    while levels:
+        states = levels.pop()
+        # a lone state is the only parent of the next level's states, so
+        # each child's completions are dropped once read
+        take = completions.pop if len(states) == 1 else completions.__getitem__
+        completions = {state: [(c,) + tail for c, child in recorded.pop(state)
+                               for tail in take(child)] for state in states}
     expected = [c for c, copies in enumerate(mu, 1) for _ in range(copies)]
-    out: list[MultisetPermutation] = []
-    known = MultisetPermutation._known
-
-    def keep(prefix: tuple[int, ...]) -> None:
-        if sorted(prefix) != expected:
-            raise AssertionError(f"listed {format_letters(prefix)}, not a permutation "
+    listing = completions[root]
+    for word in listing:
+        if sorted(word) != expected:
+            raise AssertionError(f"listed {format_letters(word)}, not a permutation "
                                  f"of the multiset with multiplicities {mu}")
-        out.append(known(prefix))
-
-    walk((0,) + mu, patterns, keep)
-    return out
+    return list(map(MultisetPermutation._known, listing))
 
 
 # -- public surface ------------------------------------------------------------
 
 def generate_all(n: int, mu: Sequence[int]) -> Iterator[MultisetPermutation]:
     """Every permutation of {1^mu(1), ..., n^mu(n)} in lexicographic order:
-    the listing walk with no patterns, built in full before it is returned."""
+    _list with no patterns, built in full before it is returned."""
     mu = tuple(mu)
     if n < 0 or len(mu) != n or any(m < 1 for m in mu):
         raise ValueError("need n >= 0 and a positive multiplicity for each letter")
@@ -239,7 +230,7 @@ def count_avoiders(n: int, m: int, patterns: PatternSet | Sequence) -> int:
         # No restriction: the multinomial counts everything.
         return math.factorial(n * m) // math.factorial(m) ** n
     _check_budget(n * m, COUNT_LENGTH_BUDGET, patterns)
-    return walk((0,) + (m,) * n, _cheaper(patterns))
+    return walk((m,) * n, _cheaper(patterns))
 
 
 def list_avoiders(n: int, m: int, patterns: PatternSet | Sequence

@@ -401,7 +401,7 @@ def _class_failures(classes) -> Iterator[str]:
     # would pass
     cells = list(_grid(_CLASS_BUDGET, _CLASS_BUDGET, _CLASS_BUDGET))
     for cls in classes:
-        vectors = (tuple(walk((0,) + (m,) * n, patterns) for n, m in cells)
+        vectors = (tuple(walk((m,) * n, patterns) for n, m in cells)
                    for patterns in cls.members)
         base = next(vectors)
         if any(vec != base for vec in vectors):

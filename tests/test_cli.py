@@ -8,7 +8,7 @@ import pytest
 
 import msetperm
 from msetperm import cli, formulas
-from msetperm.cache import AUDIT_EVERY, CountCache, _digest
+from msetperm.cache import AUDIT_EVERY, CountCache, _digest, default_cache_path
 from msetperm.cli import build_parser, main
 from msetperm.gentree import SuccessionRule, builtin_rule, count_at_height
 
@@ -241,6 +241,21 @@ class TestCount:
             assert "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize("pair", ["123", "123,132,213"])
+    def test_a_pair_of_other_than_two_patterns_is_refused(self, capsys, pair):
+        code, out, err = run_cli(capsys, "count", "--pair", pair, "--n", "3", "--m", "2",
+                                 "--no-cache")
+        assert (code, out) == (2, "")
+        assert err == f"unsupported: --pair wants two patterns, got {pair!r}\n"
+
+    def test_a_pair_with_no_classical_count_is_refused_by_formula(self, capsys):
+        argv = ("count", "--pair", "12,21", "--n", "3", "--m", "1")
+        code, out, err = run_cli(capsys, *argv, "--method", "formula")
+        assert (code, out) == (2, "")
+        assert err == "unsupported: no classical pair count catalogued for 12,21\n"
+        assert run_cli(capsys, *argv, "--method", "oracle", "--no-cache")[:2] == (0, "0\n")
+
+
 class TestCache:
     def test_hit_serves_and_audit_agrees(self, tmp_path, capsys, monkeypatch):
         cache_file = tmp_path / "counts.jsonl"
@@ -388,6 +403,31 @@ class TestCache:
         cache = CountCache(cache_file)
         assert all(cache.lookup(("122", "213"), n, m) == 1000 * m + n
                    for m in (1, 2) for n in range(200))
+
+
+    def test_a_cache_path_that_is_a_directory_warns_once(self, tmp_path, capsys):
+        # the lookup cannot read it and the store cannot append to it; only
+        # the first failure is reported
+        code, out, err = run_cli(capsys, "count", "--pair", "123,132", "--n", "3", "--m", "2",
+                                 "--method", "oracle", "--cache", str(tmp_path))
+        assert (code, out) == (0, "24\n")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"cache warning: unreadable cache file {tmp_path}: ")
+
+    def test_blank_lines_are_skipped_without_a_warning(self, tmp_path, capsys):
+        cache_file = tmp_path / "counts.jsonl"
+        cache_file.write_text("\n  \n\n")
+        code, out, err = run_cli(capsys, "count", "--pair", "123,132", "--n", "3", "--m", "2",
+                                 "--method", "oracle", "--cache", str(cache_file))
+        assert (code, out, err) == (0, "24\n", "")
+        lines = cache_file.read_text().split("\n")
+        assert lines[:3] == ["", "  ", ""] and lines[-1] == ""
+        assert json.loads(lines[3])["count"] == "24" and len(lines) == 5
+
+    def test_default_path_is_under_the_xdg_cache_home(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MSETPERM_CACHE", raising=False)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert default_cache_path() == tmp_path / "msetperm" / "counts.jsonl"
 
 
 class TestBijectionCommand:

@@ -423,6 +423,24 @@ class TestPatternSetInput:
                 with pytest.raises(InvalidPattern):
                     count_avoiders(2, 2, specs)
 
+    def test_a_string_is_refused_as_a_set(self):
+        # read letter by letter, "123" would be the set {1, 2, 3}, which only
+        # the empty word avoids; ("123") is that string too
+        from msetperm.classify import canonical_pair
+        from msetperm.enumeration import word_counts_by_length
+        from msetperm.growth import growth_table
+        calls = [lambda: count_avoiders(4, 2, "123"), lambda: word_counts_by_length(2, 3, "12"),
+                 lambda: growth_table("212", [(2, 2)]), lambda: list_avoiders(1, 2, "11"),
+                 lambda: canonical_pair("12")]
+        for call in calls:
+            with pytest.raises(InvalidPattern, match=r"write \('.*',\) or PatternSet\.of"):
+                call()
+        assert count_avoiders(4, 2, ("123",)) == 352
+        assert word_counts_by_length(2, 3, ("12",)) == [1, 2, 3, 4]
+        assert growth_table(("212",), [(2, 2)])[0].count == 3
+        assert [s.letters for s in list_avoiders(2, 1, ("11",))] == [(1, 2), (2, 1)]
+        assert canonical_pair(("12", "21")) == PatternSet.of("12", "21")
+
 
 class TestSymmetry:
     def test_reverse_palindrome(self):

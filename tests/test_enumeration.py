@@ -87,6 +87,24 @@ def test_count_equals_list_length():
 def test_empty_alphabet():
     assert count_avoiders(0, 1, PatternSet.of("12")) == 1
     assert [s.letters for s in list_avoiders(0, 1, PatternSet.of("12"))] == [()]
+    # with no letters m is not read
+    assert count_avoiders(0, 0, ("123",)) == 1
+    assert [s.letters for s in list_avoiders(0, 0, ("123",))] == [()]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: count_avoiders(-1, 2, ("123",)), "need n >= 0 and m >= 1"),
+    (lambda: count_avoiders(2, 0, ("123",)), "need n >= 0 and m >= 1"),
+    (lambda: list_avoiders(-1, 2, ("123",)), "need n >= 0 and m >= 1"),
+    (lambda: list_avoiders(2, 0, ("123",)), "need n >= 0 and m >= 1"),
+    (lambda: word_counts_by_length(-1, 3, ("123",)), "need n >= 0 and length >= 0"),
+    (lambda: word_counts_by_length(2, -1, ("123",)), "need n >= 0 and length >= 0"),
+    (lambda: generate_all(2, (2,)), "a positive multiplicity for each letter"),
+    (lambda: generate_all(2, (2, 0)), "a positive multiplicity for each letter"),
+])
+def test_arguments_out_of_range_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_budget_guard():
@@ -196,7 +214,7 @@ def test_listing_reads_each_states_letters_once(monkeypatch):
     listed = list_avoiders(6, 2, patterns)
     assert len(evaluations) == 4_738
     evaluations.clear()
-    counted = walk((0,) + (2,) * 6, patterns)
+    counted = walk((2,) * 6, patterns)
     assert len(evaluations) == 4_726
     letters = [s.letters for s in listed]
     assert len(letters) == 1428 == counted
@@ -204,17 +222,19 @@ def test_listing_reads_each_states_letters_once(monkeypatch):
 
 
 def test_listing_refuses_a_prefix_that_is_not_a_permutation(monkeypatch):
-    # each listed prefix is sorted and compared with the letters of mu: a
-    # walk that emits 1123 on [2]_2 (the right length and alphabet, the
-    # wrong copies) raises, where the constructor would take it
-    from msetperm import enumeration
+    # each listed word is sorted and compared with the letters of mu: a
+    # transfer that spells 1122 and 1123 on [2]_2 (the right length and
+    # alphabet, the wrong copies) raises at 1123, where the constructor
+    # would take it.  Its states are the prefixes themselves.
+    words = ((1, 1, 2, 2), (1, 1, 2, 3))
 
-    def walk_with_a_bad_prefix(capacity, patterns, visit):
-        visit((1, 1, 2, 2))
-        visit((1, 1, 2, 3))
-        return 2
+    def bad_permutations(mu, patterns):
+        def expand(prefix):
+            return sorted({(w[len(prefix)], w[:len(prefix) + 1]) for w in words
+                           if w[:len(prefix)] == prefix})
+        return (), expand, sum(mu) - 1
 
-    monkeypatch.setattr(enumeration, "walk", walk_with_a_bad_prefix)
+    monkeypatch.setattr(enumeration, "_permutations", bad_permutations)
     with pytest.raises(AssertionError, match="listed 1123, not a permutation"):
         list_avoiders(2, 2, PatternSet.of("123"))
 
@@ -239,9 +259,9 @@ def test_long_pattern_falls_back_to_generic_check():
 def test_counts_invariant_under_pattern_symmetry():
     # walked as given: count_avoiders counts a set and its reverse alike
     for ps in (_pair_patterns()[:20] + _single_patterns()):
-        base = walk((0, 3, 3), ps)
-        assert walk((0, 3, 3), ps.reverse()) == base
-        assert walk((0, 3, 3), ps.complement()) == base
+        base = walk((3, 3), ps)
+        assert walk((3, 3), ps.reverse()) == base
+        assert walk((3, 3), ps.complement()) == base
 
 
 # -- the reading direction count_avoiders picks ------------------------------
@@ -263,7 +283,7 @@ def test_count_reads_the_cheaper_direction(monkeypatch):
     assert count_avoiders(6, 2, patterns) == 1536
     assert sum(visited) == 72
     visited.clear()
-    assert walk((0,) + (2,) * 6, patterns) == 1536
+    assert walk((2,) * 6, patterns) == 1536
     assert sum(visited) == 728
 
 
@@ -295,12 +315,12 @@ def test_counting_either_direction_matches_the_set_as_given():
     cells = [(n, m) for m in range(2, 7) for n in range(0, 7) if n * m <= 12]
     for ps in _SMALL_SETS:
         for n, m in cells:
-            assert count_avoiders(n, m, ps) == walk((0,) + (m,) * n, ps), (ps, n, m)
-        for capacity in ((0, 1, 2, 3), (0, 3, 1, 2), (0, 2, 1, 1, 2)):
-            assert walk(capacity, ps) == walk(capacity, ps.reverse()), (ps, capacity)
+            assert count_avoiders(n, m, ps) == walk((m,) * n, ps), (ps, n, m)
+        for mu in ((1, 2, 3), (3, 1, 2), (2, 1, 1, 2)):
+            assert walk(mu, ps) == walk(mu, ps.reverse()), (ps, mu)
     long = PatternSet.of("1342", "2113")
-    assert count_avoiders(4, 2, long) == walk((0, 2, 2, 2, 2), long)
-    assert walk((0, 2, 2, 2, 2), long) == walk((0, 2, 2, 2, 2), long.reverse())
+    assert count_avoiders(4, 2, long) == walk((2, 2, 2, 2), long)
+    assert walk((2, 2, 2, 2), long) == walk((2, 2, 2, 2), long.reverse())
 
 
 # -- differential tests of the walk against the naive reference ----------------
@@ -414,11 +434,8 @@ def test_walk_drops_only_dead_prefixes_on_irregular_multisets(mu, ps):
     # letter with copies left would complete a pattern
     naive = [s for s in all_multiset_perms(mu)
              if naive_avoids(s, [p.letters for p in ps])]
-    capacity = (0,) + tuple(mu)
-    seen = []
-    assert walk(capacity, ps, lambda prefix: seen.append(tuple(prefix)) or True) == len(naive)
-    assert seen == naive
-    assert walk(capacity, ps) == len(naive)
+    assert [s.letters for s in enumeration._list(tuple(mu), ps)] == naive
+    assert walk(mu, ps) == len(naive)
 
 
 # -- counting against listing -------------------------------------------------
@@ -446,13 +463,11 @@ count_multisets = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(count_multisets, count_pattern_sets)
 def test_count_transfer_matches_listing_and_reference(mu, ps):
-    capacity = (0,) + tuple(mu)
-    counted = walk(capacity, ps)
-    visited = []
-    walk(capacity, ps, lambda prefix: visited.append(1) or True)
-    naive = sum(1 for s in all_multiset_perms(mu)
-                if naive_avoids(s, [p.letters for p in ps]))
-    assert counted == len(visited) == naive
+    counted = walk(mu, ps)
+    listed = enumeration._list(tuple(mu), ps)
+    naive = [s for s in all_multiset_perms(mu) if naive_avoids(s, [p.letters for p in ps])]
+    assert counted == len(listed) == len(naive)
+    assert [s.letters for s in listed] == naive
 
 
 @pytest.mark.parametrize("pair,count", [(("121", "123"), 1660), (("121", "132"), 7084),
